@@ -39,7 +39,7 @@ double rx_lateral_tolerance(sim::Prototype& proto) {
 
 std::vector<SpeedSweepRow> stroke_speed_sweep(
     CalibratedRig& rig, StrokeKind kind, const std::vector<double>& speeds,
-    link::SessionEngine engine) {
+    LinkRunFn run) {
   std::vector<SpeedSweepRow> rows;
   rows.reserve(speeds.size());
   for (double speed : speeds) {
@@ -55,15 +55,13 @@ std::vector<SpeedSweepRow> stroke_speed_sweep(
           rig.proto.nominal_rig_pose, geom::Vec3{0, 1, 0},
           util::deg_to_rad(12.0), std::vector<double>{speed});
     }
-    link::SimOptions options;
-    options.engine = engine;
-    const link::RunResult run =
-        link::run_link_simulation(rig.proto, controller, *profile, options);
+    const link::RunResult result =
+        run(rig.proto, controller, *profile, link::SimOptions{});
 
     // Medians over the *moving* windows (the stroke, not the end rests).
     const double speed_floor = 0.5 * speed;
     std::vector<double> tp, power, up;
-    for (const auto& w : run.windows) {
+    for (const auto& w : result.windows) {
       const double w_speed = kind == StrokeKind::kLinear
                                  ? w.linear_speed_mps
                                  : w.angular_speed_rps;
@@ -95,8 +93,7 @@ double max_optimal_speed(const std::vector<SpeedSweepRow>& rows,
 
 link::RunResult mixed_motion_run(CalibratedRig& rig, double max_linear_mps,
                                  double max_angular_rps, double duration_s,
-                                 std::uint64_t seed,
-                                 link::SessionEngine engine) {
+                                 std::uint64_t seed) {
   core::TpController controller(rig.calib.make_pointing_solver(),
                                 core::TpConfig{});
   motion::MixedRandomMotion::Config config;
@@ -107,20 +104,17 @@ link::RunResult mixed_motion_run(CalibratedRig& rig, double max_linear_mps,
   config.angular_speed_sigma = max_angular_rps * 0.5;
   const motion::MixedRandomMotion profile(rig.proto.nominal_rig_pose, config,
                                           util::Rng(seed));
-  link::SimOptions options;
-  options.engine = engine;
-  return link::run_link_simulation(rig.proto, controller, profile, options);
+  return link::run_link_simulation(rig.proto, controller, profile);
 }
 
 MixedCharacterization characterize_mixed(CalibratedRig& rig,
                                          double cap_linear_mps,
                                          double cap_angular_rps,
                                          double lin_limit, double ang_limit,
-                                         double duration_s, std::uint64_t seed,
-                                         link::SessionEngine engine) {
-  const double sensitivity = rig.proto.scene.config().sfp.rx_sensitivity_dbm;
+                                         double duration_s,
+                                         std::uint64_t seed) {
   const link::RunResult run = mixed_motion_run(
-      rig, cap_linear_mps, cap_angular_rps, duration_s, seed, engine);
+      rig, cap_linear_mps, cap_angular_rps, duration_s, seed);
 
   MixedCharacterization result;
   const int n_lin = 10, n_ang = 10;
@@ -131,7 +125,6 @@ MixedCharacterization characterize_mixed(CalibratedRig& rig,
   for (int i = 0; i < n_lin; ++i) result.by_linear[i].speed_lo = i * lin_step;
   for (int i = 0; i < n_ang; ++i) result.by_angular[i].speed_lo = i * ang_step;
 
-  (void)sensitivity;
   for (const auto& w : run.windows) {
     // Aligned = at least 95 % of the window's slots meet sensitivity
     // (tolerates the transient dip of a mid-window realignment).

@@ -1,20 +1,18 @@
 // Event-queue microbench: push / pop / cancel / steady-state churn
-// throughput of both queue disciplines (binary heap vs calendar queue)
-// under three arrival-time distributions:
+// throughput of the binary-heap queue under three arrival-time
+// distributions:
 //
-//   hot_bucket — all offsets land inside one calendar bucket window;
-//                the dense near-future regime a slot-sampled session
-//                produces (§13 of DESIGN.md).
-//   uniform    — offsets spread across many buckets; the calendar's
-//                bread-and-butter O(1) regime.
-//   long_tail  — 90% near-future, 10% far-future; exercises the
-//                overflow ladder and its rebucketing on window advance.
+//   hot_bucket — offsets within ~4 ms; the dense near-future regime a
+//                slot-sampled session produces (§13 of DESIGN.md).
+//   uniform    — offsets spread over ~4 s.
+//   long_tail  — 90% near-future, 10% up to ~67 s ahead (multi-second
+//                handover timers among report chains).
 //
 // Emits BENCH_event_queue.json with one Mops/s field per
-// (discipline, distribution, operation).  The churn loop is the number
-// that predicts engine throughput: a DES steady state holds a bounded
-// set of pending timers and replaces the popped head with a new event a
-// bounded offset ahead.
+// (distribution, operation).  The churn loop is the number that predicts
+// engine throughput: a DES steady state holds a bounded set of pending
+// timers and replaces the popped head with a new event a bounded offset
+// ahead.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -65,15 +63,14 @@ struct Row {
   double churn_mops = 0.0;
 };
 
-Row run_case(event::EventQueue::Discipline disc,
-             const std::vector<util::SimTimeUs>& offsets) {
+Row run_case(const std::vector<util::SimTimeUs>& offsets) {
   Row row;
   event::Event ev;
   ev.type = 1;
 
   // Fill + drain: N pushes, then N pops in time order.
   {
-    event::EventQueue q(disc);
+    event::EventQueue q;
     bench::Timer timer;
     for (const util::SimTimeUs off : offsets) {
       ev.time = off;
@@ -88,11 +85,10 @@ Row run_case(event::EventQueue::Discipline disc,
     if (popped != offsets.size()) std::abort();
   }
 
-  // Cancel: N pushes, then eagerly cancel every pending id (reverse
-  // insertion order so the heap discipline pays its worst lazy cost and
-  // the calendar pays swap-remove).
+  // Cancel: N pushes, then cancel every pending id in reverse insertion
+  // order (cancellation is lazy; the pruning cost lands on later pops).
   {
-    event::EventQueue q(disc);
+    event::EventQueue q;
     std::vector<event::EventQueue::Id> ids;
     ids.reserve(offsets.size());
     for (const util::SimTimeUs off : offsets) {
@@ -111,7 +107,7 @@ Row run_case(event::EventQueue::Discipline disc,
   // head and schedules a replacement a bounded offset past it.  This is
   // the regime the engines actually run in.
   {
-    event::EventQueue q(disc);
+    event::EventQueue q;
     std::size_t next = 0;
     const auto offset_at = [&offsets](std::size_t i) {
       return offsets[i % offsets.size()];
@@ -139,32 +135,21 @@ int main() {
               "(Mops/s) ==\n\n");
 
   const char* kDistributions[] = {"hot_bucket", "uniform", "long_tail"};
-  const struct {
-    event::EventQueue::Discipline disc;
-    const char* name;
-  } kDisciplines[] = {
-      {event::EventQueue::Discipline::kBinaryHeap, "heap"},
-      {event::EventQueue::Discipline::kCalendar, "calendar"},
-  };
 
   std::vector<std::pair<std::string, double>> fields;
   fields.emplace_back("events_per_pass", static_cast<double>(kEvents));
   fields.emplace_back("churn_live", static_cast<double>(kChurnLive));
-  std::printf("%-10s %-11s %9s %9s %9s %9s\n", "discipline", "distribution",
-              "push", "pop", "cancel", "churn");
-  for (const auto& d : kDisciplines) {
-    for (const char* dist : kDistributions) {
-      const auto offsets = make_offsets(dist, kEvents);
-      const Row row = run_case(d.disc, offsets);
-      std::printf("%-10s %-11s %9.2f %9.2f %9.2f %9.2f\n", d.name, dist,
-                  row.push_mops, row.pop_mops, row.cancel_mops,
-                  row.churn_mops);
-      const std::string prefix = std::string(d.name) + "_" + dist + "_";
-      fields.emplace_back(prefix + "push_mops", row.push_mops);
-      fields.emplace_back(prefix + "pop_mops", row.pop_mops);
-      fields.emplace_back(prefix + "cancel_mops", row.cancel_mops);
-      fields.emplace_back(prefix + "churn_mops", row.churn_mops);
-    }
+  std::printf("%-11s %9s %9s %9s %9s\n", "distribution", "push", "pop",
+              "cancel", "churn");
+  for (const char* dist : kDistributions) {
+    const Row row = run_case(make_offsets(dist, kEvents));
+    std::printf("%-11s %9.2f %9.2f %9.2f %9.2f\n", dist, row.push_mops,
+                row.pop_mops, row.cancel_mops, row.churn_mops);
+    const std::string prefix = std::string(dist) + "_";
+    fields.emplace_back(prefix + "push_mops", row.push_mops);
+    fields.emplace_back(prefix + "pop_mops", row.pop_mops);
+    fields.emplace_back(prefix + "cancel_mops", row.cancel_mops);
+    fields.emplace_back(prefix + "churn_mops", row.churn_mops);
   }
   bench::write_bench_json("event_queue", fields);
   return 0;

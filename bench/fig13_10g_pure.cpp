@@ -79,24 +79,24 @@ int main() {
     bench::Timer timer;
     auto rep_linear = bench::stroke_speed_sweep(
         rig, bench::StrokeKind::kLinear, linear_speeds,
-        link::SessionEngine::kEvent);
+        &link::run_link_simulation);
     double rep_event_ms = timer.elapsed_ms();
     timer.reset();
     const auto linear_oracle = bench::stroke_speed_sweep(
         oracle_rig, bench::StrokeKind::kLinear, linear_speeds,
-        link::SessionEngine::kFixedStep);
+        &link::run_link_simulation_fixed_step);
     double rep_legacy_ms = timer.elapsed_ms();
     require_identical(rep_linear, linear_oracle, "linear");
 
     timer.reset();
     auto rep_angular = bench::stroke_speed_sweep(
         rig, bench::StrokeKind::kAngular, angular_speeds,
-        link::SessionEngine::kEvent);
+        &link::run_link_simulation);
     rep_event_ms += timer.elapsed_ms();
     timer.reset();
     const auto angular_oracle = bench::stroke_speed_sweep(
         oracle_rig, bench::StrokeKind::kAngular, angular_speeds,
-        link::SessionEngine::kFixedStep);
+        &link::run_link_simulation_fixed_step);
     rep_legacy_ms += timer.elapsed_ms();
     require_identical(rep_angular, angular_oracle, "angular");
 

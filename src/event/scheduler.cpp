@@ -35,26 +35,6 @@ bool Scheduler::cancel(const Timer& timer) {
   return true;
 }
 
-bool Scheduler::reschedule(Timer& timer, const Event& ev) {
-  assert(ev.time >= clock_->now() && "cannot schedule into the past");
-  assert(ev.target < processes_.size() && "event targets no process");
-  if (timer.valid()) {
-    const EventQueue::Id new_id = queue_.reschedule(timer.id_, ev);
-    if (new_id != 0) {
-      // Counter/hook parity with an explicit cancel()+schedule() pair, so
-      // EventCounter tallies and the JSONL trace cannot tell the two
-      // idioms apart.
-      for (TraceHook* hook : hooks_) hook->on_cancel(*this, Event{});
-      ++scheduled_;
-      for (TraceHook* hook : hooks_) hook->on_schedule(*this, ev);
-      timer = Timer(new_id);
-      return true;
-    }
-  }
-  timer = schedule(ev);
-  return false;
-}
-
 void Scheduler::reset() noexcept {
   own_clock_.reset();
   reset(own_clock_);

@@ -3,9 +3,8 @@
 // handles.  One Scheduler == one deterministic simulation; parallel
 // workloads run one scheduler per trace/session (see DESIGN.md §9).
 //
-// The queue discipline is selectable at construction: kCalendar (the
-// default production engine) or kBinaryHeap (the original heap, kept as
-// the equivalence oracle).  Dispatch order is identical either way.
+// Pending events live in one binary heap with a slab pool
+// (event_queue.hpp); dispatch order is (time, FIFO push order).
 //
 // Hot-path structure (DESIGN.md §13): run()/run_until() hoist the
 // hook-presence check out of the loop and batch clock updates into a
@@ -42,19 +41,14 @@ class Timer {
 
 class Scheduler {
  public:
-  using Discipline = EventQueue::Discipline;
-
   /// Self-clocked scheduler (the common per-trace case: every parallel
   /// eval engine owns an independent timeline).
-  explicit Scheduler(Discipline discipline = Discipline::kCalendar) noexcept
-      : queue_(discipline), clock_(&own_clock_) {}
+  Scheduler() noexcept : clock_(&own_clock_) {}
   /// Rides an external clock — a runtime::Context's session clock, so the
   /// session timeline outlives this scheduler and other components can
   /// read the same `now`.  The clock must outlive the scheduler; events
   /// must respect whatever time it already shows.
-  explicit Scheduler(util::SimClock& clock,
-                     Discipline discipline = Discipline::kCalendar) noexcept
-      : queue_(discipline), clock_(&clock) {}
+  explicit Scheduler(util::SimClock& clock) noexcept : clock_(&clock) {}
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -74,14 +68,6 @@ class Scheduler {
   /// Cancels a pending event.  Returns false when the event already
   /// dispatched or was already cancelled — safe to call either way.
   bool cancel(const Timer& timer);
-
-  /// Replaces `timer`'s pending event with `ev` — observably identical to
-  /// cancel(timer) + timer = schedule(ev) (hooks and counters included),
-  /// but the queue mutates bucket entries in place instead of
-  /// cancel+reinsert.  When `timer` was invalid or already fired, plain
-  /// schedule semantics apply.  Returns true when a pending event was
-  /// superseded.
-  bool reschedule(Timer& timer, const Event& ev);
 
   /// Dispatches the next event, advancing the clock to its time.
   /// Returns false when no live events remain.
@@ -130,7 +116,6 @@ class Scheduler {
   bool empty() const noexcept { return queue_.empty(); }
   std::uint64_t dispatched() const noexcept { return dispatched_; }
   std::uint64_t scheduled() const noexcept { return scheduled_; }
-  Discipline discipline() const noexcept { return queue_.discipline(); }
   /// Slab slots ever allocated by the queue — stable across reset(),
   /// which is how the workspace tests pin "no per-session slab growth".
   std::size_t pool_slots() const noexcept { return queue_.pool_slots(); }

@@ -6,20 +6,8 @@
 #include <limits>
 
 #include "core/exhaustive_aligner.hpp"
-#include "link/session_core.hpp"
 
 namespace cyclops::link {
-
-RunResult run_link_simulation(sim::Prototype& proto,
-                              core::TpController& controller,
-                              const motion::MotionProfile& profile,
-                              const SimOptions& options) {
-  if (options.engine == SessionEngine::kFixedStep) {
-    return run_link_simulation_fixed_step(proto, controller, profile, options);
-  }
-  return detail::run_link_simulation_event(proto, controller, profile,
-                                           options);
-}
 
 RunResult run_link_simulation_fixed_step(sim::Prototype& proto,
                                          core::TpController& controller,
@@ -53,7 +41,6 @@ RunResult run_link_simulation_fixed_step(sim::Prototype& proto,
 
   // Window accumulators.
   util::SimTimeUs window_start = 0;
-  double window_up_time = 0.0;
   double window_power_sum = 0.0;
   double window_min_power = std::numeric_limits<double>::infinity();
   double window_min_power_all = std::numeric_limits<double>::infinity();
@@ -100,7 +87,6 @@ RunResult run_link_simulation_fixed_step(sim::Prototype& proto,
     window_min_power_all = std::min(window_min_power_all, power);
     if (power >= sfp.rx_sensitivity_dbm) ++window_power_ok_slots;
     if (up) {
-      window_up_time += util::us_to_s(options.step);
       ++window_up_slots;
       total_up += 1.0;
       window_power_sum += power;
@@ -140,7 +126,6 @@ RunResult run_link_simulation_fixed_step(sim::Prototype& proto,
       result.windows.push_back(sample);
 
       window_start = now + options.step;
-      window_up_time = 0.0;
       window_power_sum = 0.0;
       window_min_power = std::numeric_limits<double>::infinity();
       window_min_power_all = std::numeric_limits<double>::infinity();

@@ -127,9 +127,8 @@ class MultiTxSlotProcess final : public event::Process {
               apply.type = kEvApplyCommand;
               apply.target = apply_id_;
               apply.i64 = static_cast<std::int64_t>(i);
-              // Mutates the pending timer in place (same queue slot) when
-              // one is still live; schedules afresh otherwise.
-              sched.reschedule(s_.apply_timers[i], apply);
+              sched.cancel(s_.apply_timers[i]);
+              s_.apply_timers[i] = sched.schedule(apply);
             }
           }
         }

@@ -175,13 +175,15 @@ class QuantizedFsoProcess final : public event::Process {
 
 }  // namespace
 
-RunResult run_link_simulation_event(sim::Prototype& proto,
-                                    core::TpController& controller,
-                                    const motion::MotionProfile& profile,
-                                    const SimOptions& options) {
+}  // namespace detail
+
+RunResult run_link_simulation(sim::Prototype& proto,
+                              core::TpController& controller,
+                              const motion::MotionProfile& profile,
+                              const SimOptions& options) {
   phy::FsoChannel channel(proto.scene);
-  SessionState s{proto,   controller, profile, options,
-                 nullptr, SessionMetrics(nullptr), channel};
+  detail::SessionState s{proto,   controller, profile, options,
+                         nullptr, detail::SessionMetrics(nullptr), channel};
   s.duration = util::us_from_s(profile.duration_s());
 
   proto.scene.set_rig_pose(profile.pose_at(0));
@@ -199,7 +201,7 @@ RunResult run_link_simulation_event(sim::Prototype& proto,
   proto.tracker.reset_schedule();  // simulation time restarts at 0
 
   event::Scheduler sched;
-  QuantizedFsoProcess engine(s, proto.tracker.next_capture_time(0));
+  detail::QuantizedFsoProcess engine(s, proto.tracker.next_capture_time(0));
   const event::ProcessId engine_id = sched.add_process(&engine);
   engine.set_self(engine_id);
   if (s.duration > 0) {
@@ -216,8 +218,6 @@ RunResult run_link_simulation_event(sim::Prototype& proto,
   s.result.avg_pointing_iterations = controller.avg_pointing_iterations();
   return s.result;
 }
-
-}  // namespace detail
 
 namespace {
 

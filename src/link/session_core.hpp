@@ -3,11 +3,10 @@
 //
 // One set of processes — plant, tracker, sampler — parameterized by a
 // phy::Channel runs:
-//   * run_link_simulation's kEvent engine (quantized timing discipline:
-//     reports land on the physics grid and slots between report
-//     boundaries coalesce into one dispatch, so the per-window output is
-//     bit-identical to the fixed-step oracle — the PR-2 EvalEngine
-//     pattern),
+//   * run_link_simulation (quantized timing discipline: reports land on
+//     the physics grid and slots between report boundaries coalesce into
+//     one dispatch, so the per-window output is bit-identical to the
+//     fixed-step oracle run_link_simulation_fixed_step),
 //   * run_link_session_events (exact timing discipline: jittered capture
 //     times and DAQ+settle applies at their exact microseconds — agrees
 //     closely but deliberately not bit-for-bit),
@@ -282,13 +281,6 @@ class SamplerProcess final : public event::Process {
   SessionState& s_;
   event::ProcessId self_ = event::kNoProcess;
 };
-
-/// The quantized (bit-exact) engine behind run_link_simulation's kEvent
-/// default.
-RunResult run_link_simulation_event(sim::Prototype& proto,
-                                    core::TpController& controller,
-                                    const motion::MotionProfile& profile,
-                                    const SimOptions& options);
 
 }  // namespace detail
 }  // namespace cyclops::link

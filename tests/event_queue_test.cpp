@@ -1,11 +1,11 @@
-// EventQueue discipline equivalence + slab-pool recycling (ISSUE 6).
+// EventQueue against a reference model + slab-pool recycling.
 //
-// The calendar queue is only allowed to exist because it is
-// observationally identical to the binary heap: same (time, FIFO) pop
-// order under any interleaving of push / cancel / reschedule / pop.
-// These tests drive both disciplines through the same randomized
-// scripts and demand identical event streams, then pin the pool-slot
-// recycling rules (bounded slab, generation-guarded ids) directly.
+// The queue's contract is a (time, FIFO) total order under any
+// interleaving of push / cancel / pop.  The randomized scripts drive the
+// queue and a deliberately naive model — a live list of (time, push
+// order, tag) scanned for its minimum — side by side and demand identical
+// event streams, then the pool tests pin the slot-recycling rules
+// (bounded slab, generation-guarded ids) directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "event/event_queue.hpp"
-#include "event/scheduler.hpp"
 #include "util/rng.hpp"
 
 namespace cyclops {
@@ -22,7 +21,6 @@ namespace {
 using event::Event;
 using event::EventQueue;
 using Id = EventQueue::Id;
-using Discipline = EventQueue::Discipline;
 
 Event make_event(util::SimTimeUs time, std::int64_t tag) {
   Event ev;
@@ -32,117 +30,123 @@ Event make_event(util::SimTimeUs time, std::int64_t tag) {
   return ev;
 }
 
-/// Runs the same randomized op script against both disciplines and
-/// checks the popped streams match exactly.  Ids differ between the two
-/// queues (the pool recycles slots in allocation order, the heap in its
-/// own), so the script tracks paired ids and always cancels/reschedules
-/// the SAME logical event in both.
-void run_equivalence_script(std::uint64_t seed, double cancel_bias) {
+/// The reference: every live event with its push order; pop scans for
+/// the earliest (time, order).
+struct ModelEntry {
+  util::SimTimeUs time = 0;
+  std::uint64_t order = 0;
+  std::int64_t tag = 0;
+  Id id = 0;  ///< the queue's handle for the same event
+};
+
+/// Runs one randomized op script against the queue and the model.  Ops:
+/// push, cancel (live or already fired), supersede — the multi_tx apply
+/// pattern: cancel a pending event, then push its replacement at an
+/// earlier or equal time — and pop.
+void run_model_script(std::uint64_t seed, double cancel_bias) {
   util::Rng rng(seed);
-  EventQueue heap(Discipline::kBinaryHeap);
-  // Narrow buckets + a small ring so the script crosses bucket windows
-  // and the overflow ladder constantly, not just in the far tail.
-  EventQueue cal(Discipline::kCalendar,
-                 EventQueue::CalendarConfig{/*bucket_width_log2=*/4,
-                                            /*bucket_count_log2=*/3});
-  std::vector<std::pair<Id, Id>> live;  // (heap id, calendar id)
+  EventQueue q;
+  std::vector<ModelEntry> live;
+  std::vector<Id> fired;  // popped or cancelled ids; must stay dead
   util::SimTimeUs now = 0;
+  std::uint64_t next_order = 0;
   std::int64_t next_tag = 0;
-  std::vector<std::int64_t> heap_tags, cal_tags;
-  std::vector<util::SimTimeUs> heap_times, cal_times;
+
+  const auto push = [&](util::SimTimeUs t) {
+    const std::int64_t tag = next_tag++;
+    const Id id = q.push(make_event(t, tag));
+    live.push_back(ModelEntry{t, next_order++, tag, id});
+  };
+  const auto model_pop = [&]() {
+    const auto it = std::min_element(
+        live.begin(), live.end(),
+        [](const ModelEntry& a, const ModelEntry& b) {
+          return a.time != b.time ? a.time < b.time : a.order < b.order;
+        });
+    const ModelEntry top = *it;
+    live.erase(it);
+    return top;
+  };
 
   for (int op = 0; op < 4000; ++op) {
     const double r = rng.uniform();
     if (r < 0.45 || live.empty()) {
-      // Push: mixed near/far offsets; duplicate times are common (the
-      // FIFO tie-break is the property most worth hammering).
-      const util::SimTimeUs t =
-          now + static_cast<util::SimTimeUs>(rng.uniform_index(48));
-      const Event ev = make_event(t, next_tag++);
-      live.emplace_back(heap.push(ev), cal.push(ev));
+      // Mixed offsets with frequent duplicate times (the FIFO tie-break
+      // is the property most worth hammering).
+      push(now + static_cast<util::SimTimeUs>(rng.uniform_index(48)));
     } else if (r < 0.45 + cancel_bias) {
       const std::size_t pick = rng.uniform_index(live.size());
-      const bool a = heap.cancel(live[pick].first);
-      const bool b = cal.cancel(live[pick].second);
-      ASSERT_EQ(a, b);
-      ASSERT_TRUE(a);
+      ASSERT_TRUE(q.cancel(live[pick].id));
+      fired.push_back(live[pick].id);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
     } else if (r < 0.45 + cancel_bias + 0.15) {
-      // Reschedule a random pending event to a fresh future time.
+      // Supersede: the replacement lands no later than the event it
+      // replaces, so it must overtake anything pending in between.
       const std::size_t pick = rng.uniform_index(live.size());
-      const util::SimTimeUs t =
-          now + static_cast<util::SimTimeUs>(rng.uniform_index(96));
-      const Event ev = make_event(t, next_tag++);
-      live[pick].first = heap.reschedule(live[pick].first, ev);
-      live[pick].second = cal.reschedule(live[pick].second, ev);
-      ASSERT_NE(live[pick].first, 0u);
-      ASSERT_NE(live[pick].second, 0u);
+      const util::SimTimeUs old_time = live[pick].time;
+      ASSERT_TRUE(q.cancel(live[pick].id));
+      fired.push_back(live[pick].id);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      push(now + static_cast<util::SimTimeUs>(
+                     rng.uniform_index(static_cast<std::size_t>(
+                         old_time - now + 1))));
+    } else if (r < 0.45 + cancel_bias + 0.18 && !fired.empty()) {
+      // Cancelling a fired or cancelled timer is a harmless no-op.
+      ASSERT_FALSE(q.cancel(fired[rng.uniform_index(fired.size())]));
     } else {
-      Event ha, ca;
-      ASSERT_EQ(heap.pop_next(ha), cal.pop_next(ca));
-      ASSERT_EQ(ha.time, ca.time);
-      ASSERT_EQ(ha.i64, ca.i64);
-      heap_tags.push_back(ha.i64);
-      cal_tags.push_back(ca.i64);
-      heap_times.push_back(ha.time);
-      cal_times.push_back(ca.time);
-      ASSERT_GE(ha.time, now);  // pops are monotone
-      now = ha.time;
-      // The popped event is no longer cancellable; drop it from `live`
-      // by matching either id.
-      live.erase(std::remove_if(live.begin(), live.end(),
-                                [&](const std::pair<Id, Id>& p) {
-                                  return !heap.pending(p.first);
-                                }),
-                 live.end());
+      const ModelEntry want = model_pop();
+      Event got;
+      ASSERT_TRUE(q.pop_next(got));
+      ASSERT_EQ(got.time, want.time);
+      ASSERT_EQ(got.i64, want.tag);
+      ASSERT_GE(got.time, now);  // pops are monotone
+      ASSERT_FALSE(q.pending(want.id));
+      fired.push_back(want.id);
+      now = got.time;
     }
-    ASSERT_EQ(heap.size(), cal.size());
-    ASSERT_EQ(heap.empty(), cal.empty());
+    ASSERT_EQ(q.size(), live.size());
+    ASSERT_EQ(q.empty(), live.empty());
   }
 
-  // Drain both and compare the full remaining stream.
-  Event ha, ca;
-  while (heap.pop_next(ha)) {
-    ASSERT_TRUE(cal.pop_next(ca));
-    ASSERT_EQ(ha.time, ca.time);
-    ASSERT_EQ(ha.i64, ca.i64);
+  // Drain and compare the full remaining stream.
+  Event got;
+  while (!live.empty()) {
+    const ModelEntry want = model_pop();
+    ASSERT_TRUE(q.pop_next(got));
+    ASSERT_EQ(got.time, want.time);
+    ASSERT_EQ(got.i64, want.tag);
   }
-  ASSERT_FALSE(cal.pop_next(ca));
-  EXPECT_EQ(heap_tags, cal_tags);
-  EXPECT_EQ(heap_times, cal_times);
+  ASSERT_FALSE(q.pop_next(got));
+  for (const Id id : fired) ASSERT_FALSE(q.pending(id));
 }
 
-TEST(EventQueueEquivalence, RandomizedScriptsMatchHeap) {
+TEST(EventQueueEquivalence, RandomizedScriptsMatchReferenceModel) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    run_equivalence_script(seed, /*cancel_bias=*/0.10);
+    run_model_script(seed, /*cancel_bias=*/0.10);
   }
 }
 
-TEST(EventQueueEquivalence, CancelHeavyScriptsMatchHeap) {
+TEST(EventQueueEquivalence, CancelHeavyScriptsMatchReferenceModel) {
   for (std::uint64_t seed = 100; seed <= 104; ++seed) {
-    run_equivalence_script(seed, /*cancel_bias=*/0.30);
+    run_model_script(seed, /*cancel_bias=*/0.30);
   }
 }
 
 TEST(EventQueueEquivalence, FifoOrderPreservedForEqualTimes) {
-  for (const Discipline disc :
-       {Discipline::kBinaryHeap, Discipline::kCalendar}) {
-    EventQueue q(disc);
-    for (std::int64_t i = 0; i < 64; ++i) q.push(make_event(10, i));
-    Event ev;
-    for (std::int64_t i = 0; i < 64; ++i) {
-      ASSERT_TRUE(q.pop_next(ev));
-      EXPECT_EQ(ev.i64, i) << "discipline broke FIFO among equal times";
-    }
+  EventQueue q;
+  for (std::int64_t i = 0; i < 64; ++i) q.push(make_event(10, i));
+  Event ev;
+  for (std::int64_t i = 0; i < 64; ++i) {
+    ASSERT_TRUE(q.pop_next(ev));
+    EXPECT_EQ(ev.i64, i) << "queue broke FIFO among equal times";
   }
 }
 
-TEST(EventQueueEquivalence, EmptyQueueJumpAcrossWindows) {
+TEST(EventQueueEquivalence, FarApartSingleTimerChain) {
   // Single-pending-timer chains (the event_eval shape): each push lands
-  // in an empty queue at a time arbitrarily far past the calendar
-  // window.  Pops must track exactly.
-  EventQueue q(Discipline::kCalendar,
-               EventQueue::CalendarConfig{4, 3});
+  // in an empty queue at a time arbitrarily far past the previous one.
+  // Pops must track exactly.
+  EventQueue q;
   util::SimTimeUs t = 0;
   util::Rng rng(9);
   Event ev;
@@ -157,42 +161,36 @@ TEST(EventQueueEquivalence, EmptyQueueJumpAcrossWindows) {
 }
 
 TEST(EventQueuePool, SlabStaysBoundedUnderChurn) {
-  for (const Discipline disc :
-       {Discipline::kBinaryHeap, Discipline::kCalendar}) {
-    EventQueue q(disc);
-    Event ev;
-    util::SimTimeUs t = 0;
-    for (int i = 0; i < 64; ++i) q.push(make_event(t + i, i));
-    // Steady-state churn recycles freed slots; the slab must not grow
-    // past the high-water mark of concurrently-live events.
-    for (int i = 0; i < 10000; ++i) {
-      ASSERT_TRUE(q.pop_next(ev));
-      q.push(make_event(ev.time + 64, ev.i64));
-    }
-    EXPECT_LE(q.pool_slots(), 64u) << "pool leaked slots under churn";
+  EventQueue q;
+  Event ev;
+  util::SimTimeUs t = 0;
+  for (int i = 0; i < 64; ++i) q.push(make_event(t + i, i));
+  // Steady-state churn recycles freed slots; the slab must not grow past
+  // the high-water mark of concurrently-live events.
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_TRUE(q.pop_next(ev));
+    q.push(make_event(ev.time + 64, ev.i64));
   }
+  EXPECT_LE(q.pool_slots(), 64u) << "pool leaked slots under churn";
 }
 
 TEST(EventQueuePool, StaleIdNeverResurrectsRecycledSlot) {
-  for (const Discipline disc :
-       {Discipline::kBinaryHeap, Discipline::kCalendar}) {
-    EventQueue q(disc);
-    const Id dead = q.push(make_event(5, 1));
-    ASSERT_TRUE(q.cancel(dead));
-    // The freed slot is recycled by the next push; the old id's
-    // generation no longer matches.
-    const Id heir = q.push(make_event(6, 2));
-    ASSERT_NE(dead, heir);
-    EXPECT_FALSE(q.pending(dead));
-    EXPECT_FALSE(q.cancel(dead)) << "stale id cancelled the new occupant";
-    EXPECT_TRUE(q.pending(heir));
-    Event ev;
-    ASSERT_TRUE(q.pop_next(ev));
-    EXPECT_EQ(ev.i64, 2);
-    // Popped ids go stale the same way cancelled ones do.
-    EXPECT_FALSE(q.cancel(heir));
-    EXPECT_TRUE(q.empty());
-  }
+  EventQueue q;
+  const Id dead = q.push(make_event(5, 1));
+  ASSERT_TRUE(q.cancel(dead));
+  // The freed slot is recycled by the next push; the old id's generation
+  // no longer matches.
+  const Id heir = q.push(make_event(6, 2));
+  ASSERT_NE(dead, heir);
+  EXPECT_FALSE(q.pending(dead));
+  EXPECT_FALSE(q.cancel(dead)) << "stale id cancelled the new occupant";
+  EXPECT_TRUE(q.pending(heir));
+  Event ev;
+  ASSERT_TRUE(q.pop_next(ev));
+  EXPECT_EQ(ev.i64, 2);
+  // Popped ids go stale the same way cancelled ones do.
+  EXPECT_FALSE(q.cancel(heir));
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueuePool, GenerationSurvivesManyRecycles) {
@@ -209,54 +207,33 @@ TEST(EventQueuePool, GenerationSurvivesManyRecycles) {
 }
 
 TEST(EventQueuePool, ClearKeepsSlabAndRestartsLikeFresh) {
-  for (const Discipline disc :
-       {Discipline::kBinaryHeap, Discipline::kCalendar}) {
-    EventQueue q(disc);
-    std::vector<Id> ids;
-    for (int i = 0; i < 48; ++i) ids.push_back(q.push(make_event(i * 3, i)));
-    const std::size_t slab = q.pool_slots();
-    q.clear();
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.size(), 0u);
-    EXPECT_EQ(q.pool_slots(), slab) << "clear() must keep the slab";
-    // Every pre-clear id is dead: no pending hits, no cancels of the
-    // slots' new occupants.
-    for (const Id id : ids) EXPECT_FALSE(q.pending(id));
-    for (const Id id : ids) EXPECT_FALSE(q.cancel(id));
-    // The reused queue is observationally a fresh one: same (time, FIFO)
-    // pop order for the same pushes, including equal-time ties.
-    EventQueue fresh(disc);
-    for (int i = 0; i < 48; ++i) {
-      const util::SimTimeUs t = 1000 + (i % 4) * 10;
-      q.push(make_event(t, i));
-      fresh.push(make_event(t, i));
-    }
-    Event a, b;
-    while (fresh.pop_next(b)) {
-      ASSERT_TRUE(q.pop_next(a));
-      EXPECT_EQ(a.time, b.time);
-      EXPECT_EQ(a.i64, b.i64);
-    }
-    EXPECT_TRUE(q.empty());
+  EventQueue q;
+  std::vector<Id> ids;
+  for (int i = 0; i < 48; ++i) ids.push_back(q.push(make_event(i * 3, i)));
+  const std::size_t slab = q.pool_slots();
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.pool_slots(), slab) << "clear() must keep the slab";
+  // Every pre-clear id is dead: no pending hits, no cancels of the slots'
+  // new occupants.
+  for (const Id id : ids) EXPECT_FALSE(q.pending(id));
+  for (const Id id : ids) EXPECT_FALSE(q.cancel(id));
+  // The reused queue is observationally a fresh one: same (time, FIFO)
+  // pop order for the same pushes, including equal-time ties.
+  EventQueue fresh;
+  for (int i = 0; i < 48; ++i) {
+    const util::SimTimeUs t = 1000 + (i % 4) * 10;
+    q.push(make_event(t, i));
+    fresh.push(make_event(t, i));
   }
-}
-
-TEST(SchedulerReschedule, MutatesTimerInPlaceOrSchedulesFresh) {
-  event::Scheduler sched;
-  event::Timer timer;
-  Event ev = make_event(10, 1);
-  // Invalid timer: reschedule degrades to a fresh schedule.
-  EXPECT_FALSE(sched.reschedule(timer, ev));
-  EXPECT_TRUE(timer.valid());
-  EXPECT_EQ(sched.scheduled(), 1u);
-  // Live timer: superseded in place — still exactly one pending event.
-  ev = make_event(4, 2);
-  EXPECT_TRUE(sched.reschedule(timer, ev));
-  EXPECT_TRUE(timer.valid());
-  EXPECT_EQ(sched.scheduled(), 2u);
-  EXPECT_FALSE(sched.empty());
-  EXPECT_TRUE(sched.cancel(timer));
-  EXPECT_TRUE(sched.empty());
+  Event a, b;
+  while (fresh.pop_next(b)) {
+    ASSERT_TRUE(q.pop_next(a));
+    EXPECT_EQ(a.time, b.time);
+    EXPECT_EQ(a.i64, b.i64);
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

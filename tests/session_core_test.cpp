@@ -75,18 +75,13 @@ class SessionCoreEquivalence : public ::testing::Test {
                        const char* what) {
     core::TpController event_ctl(event_rig_.calib.make_pointing_solver(),
                                  core::TpConfig{});
-    SimOptions event_opts;
-    event_opts.engine = SessionEngine::kEvent;
     const RunResult event =
-        run_link_simulation(event_rig_.proto, event_ctl, profile, event_opts);
+        run_link_simulation(event_rig_.proto, event_ctl, profile);
 
     core::TpController oracle_ctl(oracle_rig_.calib.make_pointing_solver(),
                                   core::TpConfig{});
-    SimOptions oracle_opts;
-    oracle_opts.engine = SessionEngine::kFixedStep;
-    const RunResult oracle = run_link_simulation(oracle_rig_.proto,
-                                                 oracle_ctl, profile,
-                                                 oracle_opts);
+    const RunResult oracle = run_link_simulation_fixed_step(
+        oracle_rig_.proto, oracle_ctl, profile);
 
     ASSERT_GT(oracle.windows.size(), 10u) << what;
     expect_identical(event, oracle, what);
