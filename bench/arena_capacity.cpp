@@ -30,6 +30,7 @@
 
 #include "arena/session.hpp"
 #include "arena/topology.hpp"
+#include "runtime/context.hpp"
 #include "util/bench_io.hpp"
 #include "util/thread_pool.hpp"
 
@@ -72,7 +73,8 @@ arena::ArenaResult run_spec(const RunSpec& spec, double duration_s) {
       return tx == 0 && t >= fail_at;
     };
   }
-  return arena::run_arena_session(topo, options);
+  // Runs fan out over parallel_for: one isolated context per session.
+  return arena::run_arena_session(topo, options, runtime::Context::isolated());
 }
 
 double mean_rate(const arena::ArenaResult& r) {

@@ -20,6 +20,7 @@
 #include "motion/trace_generator.hpp"
 #include "obs/registry.hpp"
 #include "phy/mmwave_channel.hpp"
+#include "runtime/context.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
@@ -38,7 +39,9 @@ int main() {
   const double cyclops_goodput =
       phy::make_sfp_info(optics::sfp28_lr()).peak_rate_gbps;
 
-  obs::Registry registry;  // isolated: one bench, one metrics scope
+  // Isolated: one bench, one metrics scope.
+  const runtime::Context ctx = runtime::Context::isolated();
+  obs::Registry& registry = ctx.registry();
   // Best-of-2 wall time over the full 100-trace pass (the fig13/fig16
   // protocol); the reported stats are rep 0's — each rep starts fresh
   // RunningStats and retrain counts, so reps never accumulate into the
@@ -62,7 +65,7 @@ int main() {
       link::ChannelSessionOptions options;
       options.step = 10000;
       const link::RunResult run =
-          link::run_channel_session(channel, profile, options, &registry);
+          link::run_channel_session(channel, profile, ctx, options);
       channel.finish(util::us_from_s(profile.duration_s()));
       rep_mmwave.add(run.avg_rate_gbps);
       rep_retrains += channel.retrains();

@@ -25,6 +25,7 @@
 #include "bench_common.hpp"
 #include "cal/online.hpp"
 #include "core/calibration.hpp"
+#include "runtime/context.hpp"
 #include "sim/prototype.hpp"
 
 using namespace cyclops;
@@ -56,7 +57,10 @@ cal::OnlineRecalResult run_twin(double duration_s, bool online) {
   config.duration_s = duration_s;
   config.online = online;
   config.seed = 7;
-  return cal::run_online_recal_session(proto, calibration, config);
+  // The twins run one after the other, so they share the process-wide
+  // context (its pool fans out the refits).
+  return cal::run_online_recal_session(proto, calibration, config,
+                                       runtime::Context::default_ctx());
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "bench_common.hpp"
 #include "link/multi_tx.hpp"
 #include "motion/trace_generator.hpp"
+#include "runtime/context.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
@@ -111,8 +112,8 @@ int main() {
   link::MultiTxConfig mt;
   mt.handover.switch_delay_s = 0.1;
   mt.tp.predict_pose = true;
-  const link::MultiTxResult multi =
-      link::run_multi_tx_session(chains, profile, mt, nullptr);
+  const link::MultiTxResult multi = link::run_multi_tx_session(
+      chains, profile, mt, nullptr, runtime::Context::isolated());
   std::printf("C. + second TX with handover:            %.2f served slots "
               "(%d switches; best single TX %.2f)\n",
               multi.served_fraction, multi.switches,

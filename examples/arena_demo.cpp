@@ -11,6 +11,7 @@
 #include "arena/topology.hpp"
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
+#include "runtime/context.hpp"
 
 using namespace cyclops;
 
@@ -32,9 +33,10 @@ int main() {
     return tx == 2 && t >= util::us_from_s(6.0);
   };
 
-  obs::Registry registry;
+  const runtime::Context ctx = runtime::Context::isolated();
+  obs::Registry& registry = ctx.registry();
   const arena::ArenaResult result =
-      arena::run_arena_session(topo, options, &registry);
+      arena::run_arena_session(topo, options, ctx);
 
   std::printf("per-headset QoE:\n");
   std::printf("%3s %4s %10s %8s %8s %9s %11s %4s\n", "id", "tx", "rate_gbps",

@@ -18,6 +18,7 @@
 #include "link/session_log.hpp"
 #include "motion/profile.hpp"
 #include "phy/mmwave_channel.hpp"
+#include "runtime/context.hpp"
 #include "util/units.hpp"
 
 using namespace cyclops;
@@ -56,8 +57,8 @@ int main() {
   // clears before the 200 ms switch delay elapses.
   config.handover.cancel_on_reacquire = true;
   link::SessionLog log;
-  const link::MultiTxResult result =
-      link::run_multi_tx_session(chains, profile, config, occlusion, &log);
+  const link::MultiTxResult result = link::run_multi_tx_session(
+      chains, profile, config, occlusion, runtime::Context::isolated(), &log);
 
   std::printf("\nper-TX usable fractions: TX0 %.1f%%, TX1 %.1f%%\n",
               100.0 * result.per_tx_usable_fraction[0],
@@ -104,8 +105,10 @@ int main() {
     return (now / util::us_from_s(1.0)) % 6 < 2;
   };
   link::SessionLog hetero_log;
-  const link::HeteroResult hetero_result = link::run_hetero_session(
-      proto, controller, fallback, still, hetero, &hetero_log);
+  const link::HeteroResult hetero_result =
+      link::run_hetero_session(proto, controller, fallback, still,
+                               runtime::Context::isolated(), hetero,
+                               &hetero_log);
 
   std::printf("channel usable/serving fractions over 12 s:\n");
   for (const auto& channel : hetero_result.channels) {

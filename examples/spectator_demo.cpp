@@ -59,7 +59,7 @@ int main() {
     rate_timeline.push_back(rate_gbps);
   };
   const link::HeteroResult link_result = link::run_hetero_session(
-      proto, controller, fallback, still, hetero, nullptr);
+      proto, controller, fallback, still, runtime::Context::isolated(), hetero);
 
   std::printf("link plane: served %.1f%% of slots at %.2f Gbps average "
               "(%d handovers) over %.0f s\n",

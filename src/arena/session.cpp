@@ -36,8 +36,8 @@ struct HeadsetState {
   int migrations = 0;
 };
 
-// Hoisted metric handles — all null without a registry / in OBS=OFF
-// builds, and every use is guarded by `if constexpr (obs::kEnabled)`.
+// Hoisted metric handles — null in OBS=OFF builds, where every use is
+// compiled out by `if constexpr (obs::kEnabled)`.
 struct ArenaMetrics {
   obs::Counter* admissions = nullptr;
   obs::Counter* queued = nullptr;
@@ -51,24 +51,23 @@ struct ArenaMetrics {
   obs::Histogram* rate_gbps = nullptr;
   obs::Histogram* occl_outage_us = nullptr;
 
-  explicit ArenaMetrics(obs::Registry* reg) {
+  explicit ArenaMetrics(obs::Registry& registry) {
     if constexpr (obs::kEnabled) {
-      if (reg == nullptr) return;
-      admissions = &reg->counter("arena_admissions_total");
-      queued = &reg->counter("arena_queued_total");
-      rejections = &reg->counter("arena_rejections_total");
-      migrations = &reg->counter("arena_migrations_total");
-      evictions = &reg->counter("arena_evictions_total");
-      slots = &reg->counter("arena_slots_total");
-      delivered = &reg->counter("arena_delivered_slots_total");
-      duty_violations = &reg->counter("arena_duty_violations_total");
-      tx_failures = &reg->counter("arena_tx_failures_total");
+      admissions = &registry.counter("arena_admissions_total");
+      queued = &registry.counter("arena_queued_total");
+      rejections = &registry.counter("arena_rejections_total");
+      migrations = &registry.counter("arena_migrations_total");
+      evictions = &registry.counter("arena_evictions_total");
+      slots = &registry.counter("arena_slots_total");
+      delivered = &registry.counter("arena_delivered_slots_total");
+      duty_violations = &registry.counter("arena_duty_violations_total");
+      tx_failures = &registry.counter("arena_tx_failures_total");
       // 0..12 Gbps in 0.5 Gbps steps covers min-rate floors through the
       // 10 G peak with headroom for future 25 G SLAs' lower shares.
-      rate_gbps = &reg->histogram("arena_headset_rate_gbps",
-                                  obs::HistogramSpec::linear(0.0, 0.5, 24));
-      occl_outage_us = &reg->histogram("arena_occlusion_outage_us",
-                                       obs::HistogramSpec::duration_us());
+      rate_gbps = &registry.histogram(
+          "arena_headset_rate_gbps", obs::HistogramSpec::linear(0.0, 0.5, 24));
+      occl_outage_us = &registry.histogram("arena_occlusion_outage_us",
+                                           obs::HistogramSpec::duration_us());
     }
   }
 };
@@ -76,7 +75,7 @@ struct ArenaMetrics {
 class ArenaSlotProcess final : public event::Process {
  public:
   ArenaSlotProcess(const ArenaTopology& topo, const ArenaOptions& opt,
-                   event::Scheduler& sched, obs::Registry* registry,
+                   event::Scheduler& sched, obs::Registry& registry,
                    ArenaResult& result)
       : topo_(topo),
         opt_(opt),
@@ -101,7 +100,7 @@ class ArenaSlotProcess final : public event::Process {
     handovers_.reserve(heads_.size());
     for (std::size_t h = 0; h < heads_.size(); ++h) {
       handovers_.push_back(std::make_unique<link::HandoverProcess>(
-          topo_.num_tx(), opt_.handover, sched_, nullptr, registry));
+          topo_.num_tx(), opt_.handover, sched_, nullptr, &registry));
     }
     total_ticks_ =
         std::max<std::int64_t>(1, util::us_from_s(opt.duration_s) / opt.slot);
@@ -161,7 +160,7 @@ class ArenaSlotProcess final : public event::Process {
     s.unservable_since = -1;
     ++result_.admissions;
     if constexpr (obs::kEnabled) {
-      if (metrics_.admissions != nullptr) metrics_.admissions->inc();
+      metrics_.admissions->inc();
     }
     log_event(t, ArenaEventKind::kAdmitted, h, tx);
   }
@@ -181,14 +180,14 @@ class ArenaSlotProcess final : public event::Process {
           queue_.push_back(static_cast<int>(h));
           ++result_.queued;
           if constexpr (obs::kEnabled) {
-            if (metrics_.queued != nullptr) metrics_.queued->inc();
+            metrics_.queued->inc();
           }
           log_event(0, ArenaEventKind::kQueued, static_cast<int>(h), -1);
           break;
         case AdmissionController::Decision::kReject:
           ++result_.rejections;
           if constexpr (obs::kEnabled) {
-            if (metrics_.rejections != nullptr) metrics_.rejections->inc();
+            metrics_.rejections->inc();
           }
           log_event(0, ArenaEventKind::kRejected, static_cast<int>(h), -1);
           break;
@@ -203,7 +202,7 @@ class ArenaSlotProcess final : public event::Process {
       if (failed && !tx_failed_logged_[tx]) {
         tx_failed_logged_[tx] = true;
         if constexpr (obs::kEnabled) {
-          if (metrics_.tx_failures != nullptr) metrics_.tx_failures->inc();
+          metrics_.tx_failures->inc();
         }
         log_event(t, ArenaEventKind::kTxFailed, -1, static_cast<int>(tx));
       }
@@ -258,7 +257,7 @@ class ArenaSlotProcess final : public event::Process {
         ++s.migrations;
         ++result_.migrations;
         if constexpr (obs::kEnabled) {
-          if (metrics_.migrations != nullptr) metrics_.migrations->inc();
+          metrics_.migrations->inc();
         }
         log_event(t, ArenaEventKind::kMigrated, static_cast<int>(h),
                   s.assigned);
@@ -343,7 +342,7 @@ class ArenaSlotProcess final : public event::Process {
       queue_.push_back(h);
       ++result_.evictions;
       if constexpr (obs::kEnabled) {
-        if (metrics_.evictions != nullptr) metrics_.evictions->inc();
+        metrics_.evictions->inc();
       }
       log_event(t, ArenaEventKind::kEvicted, h, -1);
     }
@@ -387,9 +386,7 @@ class ArenaSlotProcess final : public event::Process {
       if (over > 0) {
         result_.duty_violations += over;
         if constexpr (obs::kEnabled) {
-          if (metrics_.duty_violations != nullptr) {
-            metrics_.duty_violations->inc(static_cast<std::uint64_t>(over));
-          }
+          metrics_.duty_violations->inc(static_cast<std::uint64_t>(over));
         }
       }
       const int h = choice_[tx];
@@ -399,7 +396,7 @@ class ArenaSlotProcess final : public event::Process {
       ++s.sched_slots;
       s.last_slot = t;
       if constexpr (obs::kEnabled) {
-        if (metrics_.slots != nullptr) metrics_.slots->inc();
+        metrics_.slots->inc();
       }
       // Serve: margin left after the drift penalty decides data vs a
       // re-pointing (recovery) slot; either way the TP loop re-converges.
@@ -413,7 +410,7 @@ class ArenaSlotProcess final : public event::Process {
         s.longest_gap = std::max(s.longest_gap, gap);
         s.last_delivery = t;
         if constexpr (obs::kEnabled) {
-          if (metrics_.delivered != nullptr) metrics_.delivered->inc();
+          metrics_.delivered->inc();
         }
       }
       s.drift_rad = 0.0;
@@ -422,9 +419,7 @@ class ArenaSlotProcess final : public event::Process {
 
   void record_occl_span(util::SimTimeUs span) {
     if constexpr (obs::kEnabled) {
-      if (metrics_.occl_outage_us != nullptr) {
-        metrics_.occl_outage_us->record(static_cast<double>(span));
-      }
+      metrics_.occl_outage_us->record(static_cast<double>(span));
     }
   }
 
@@ -474,7 +469,7 @@ void ArenaSlotProcess::finish() {
       q.sla_met = q.avg_rate_gbps >= opt_.sla.min_rate_gbps;
     }
     if constexpr (obs::kEnabled) {
-      if (metrics_.rate_gbps != nullptr && s.ever_admitted) {
+      if (s.ever_admitted) {
         metrics_.rate_gbps->record(q.avg_rate_gbps);
       }
     }
@@ -500,21 +495,6 @@ void ArenaSlotProcess::finish() {
   result_.cancelled_migrations = cancelled;
 }
 
-ArenaResult run_arena_session_impl(const ArenaTopology& topology,
-                                   const ArenaOptions& options,
-                                   obs::Registry* registry,
-                                   util::SimClock* clock) {
-  ArenaResult result;
-  session::ScopedScheduler lease(clock);
-  event::Scheduler& sched = lease.get();
-  ArenaSlotProcess arena(topology, options, sched, registry, result);
-  arena.start();
-  sched.run();
-  arena.finish();
-  result.events = sched.dispatched();
-  return result;
-}
-
 }  // namespace
 
 const char* to_string(ArenaEventKind kind) noexcept {
@@ -537,16 +517,16 @@ int ArenaResult::sla_met_count() const {
 
 ArenaResult run_arena_session(const ArenaTopology& topology,
                               const ArenaOptions& options,
-                              obs::Registry* registry) {
-  return run_arena_session_impl(topology, options, registry, nullptr);
-}
-
-ArenaResult run_arena_session(const ArenaTopology& topology,
-                              const ArenaOptions& options,
                               const runtime::Context& ctx) {
-  ctx.clock().reset();
-  return run_arena_session_impl(topology, options, &ctx.registry(),
-                                &ctx.clock());
+  ArenaResult result;
+  session::ScopedScheduler lease(session::bind_session_clock(ctx));
+  event::Scheduler& sched = lease.get();
+  ArenaSlotProcess arena(topology, options, sched, ctx.registry(), result);
+  arena.start();
+  sched.run();
+  arena.finish();
+  result.events = sched.dispatched();
+  return result;
 }
 
 }  // namespace cyclops::arena

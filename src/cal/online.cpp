@@ -406,16 +406,13 @@ class RecalSession final : public event::Process {
 
 }  // namespace
 
-OnlineRecalResult run_online_recal_session(sim::Prototype& proto,
-                                           const core::CalibrationResult& calibration,
-                                           const OnlineRecalConfig& config,
-                                           const runtime::Context* ctx) {
-  const runtime::Context& c =
-      ctx != nullptr ? *ctx : runtime::Context::default_ctx();
+OnlineRecalResult run_online_recal_session(
+    sim::Prototype& proto, const core::CalibrationResult& calibration,
+    const OnlineRecalConfig& config, const runtime::Context& ctx) {
   session::ScopedScheduler lease(session::bind_session_clock(ctx));
   event::Scheduler& sched = lease.get();
 
-  RecalSession session(proto, calibration, config, c);
+  RecalSession session(proto, calibration, config, ctx);
   session.start(sched);
   sched.run();
 

@@ -172,10 +172,11 @@ struct OnlineRecalResult {
 /// when `config.online` — refit the mapping in flight.  Deterministic
 /// given (proto seed, config.seed); the frozen baseline (online=false)
 /// sees the *identical* slot stream, so twin runs isolate exactly the
-/// recalibration effect.
-OnlineRecalResult run_online_recal_session(sim::Prototype& proto,
-                                           const core::CalibrationResult& calibration,
-                                           const OnlineRecalConfig& config,
-                                           const runtime::Context* ctx = nullptr);
+/// recalibration effect.  The scheduler rides ctx.clock() (reset to 0),
+/// the solver and refits run on ctx.pool(), and the cal_* metrics land
+/// in ctx.registry().
+OnlineRecalResult run_online_recal_session(
+    sim::Prototype& proto, const core::CalibrationResult& calibration,
+    const OnlineRecalConfig& config, const runtime::Context& ctx);
 
 }  // namespace cyclops::cal

@@ -12,10 +12,6 @@
 
 #include "util/sim_clock.hpp"
 
-namespace cyclops::obs {
-class Registry;
-}
-
 namespace cyclops::core {
 
 struct DriftMonitorConfig {
@@ -53,11 +49,6 @@ class DriftMonitor {
 
   int samples() const noexcept { return samples_; }
   const DriftMonitorConfig& config() const noexcept { return config_; }
-
-  /// Exports the monitor state as gauges (`drift_monitor_ema_dbm`,
-  /// `drift_monitor_samples`, `drift_monitor_recal_needed`).  A no-op
-  /// when telemetry is compiled out (CYCLOPS_OBS=OFF).
-  void publish(obs::Registry& registry) const;
 
  private:
   DriftMonitorConfig config_;

@@ -4,33 +4,19 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <optional>
 
-#include "core/exhaustive_aligner.hpp"
 #include "obs/config.hpp"
 #include "session/lifecycle.hpp"
 
 namespace cyclops::link {
-namespace {
 
-// The session processes (detail::TrackerProcess / PlantProcess /
-// SamplerProcess) and their shared SessionState live in
-// link/session_core.{hpp,cpp}; this translation unit wires them into the
-// exact-timing discipline: jittered capture events and DAQ+settle applies
-// at their exact microseconds.
-
-/// Shared body of the two public overloads.  `ctx` (nullable) selects the
-/// session-context mode: scheduler on ctx->clock() (reset first) and the
-/// start-up alignment polish on ctx->pool().
-RunResult run_link_session_events_impl(sim::Prototype& proto,
-                                       core::TpController& controller,
-                                       const motion::MotionProfile& profile,
-                                       const SimOptions& options,
-                                       SessionLog* log,
-                                       EventSessionStats* stats,
-                                       obs::Registry* registry,
-                                       const runtime::Context* ctx) {
-  if constexpr (!obs::kEnabled) registry = nullptr;
+RunResult run_link_session_events(sim::Prototype& proto,
+                                  core::TpController& controller,
+                                  const motion::MotionProfile& profile,
+                                  const runtime::Context& ctx,
+                                  const SimOptions& options, SessionLog* log,
+                                  EventSessionStats* stats) {
+  obs::Registry* registry = obs::kEnabled ? &ctx.registry() : nullptr;
   phy::FsoChannel channel(proto.scene);
   detail::SessionState s{proto,
                          controller,
@@ -40,25 +26,12 @@ RunResult run_link_session_events_impl(sim::Prototype& proto,
                          detail::SessionMetrics(registry),
                          channel};
   s.duration = util::us_from_s(profile.duration_s());
+  // §5.3 protocol: each run starts from an aligned link.
+  detail::start_aligned(proto, controller, profile, channel, ctx);
 
-  proto.scene.set_rig_pose(profile.pose_at(0));
-  if (options.align_at_start) {
-    // §5.3 protocol: each run starts from an aligned link.
-    const core::PointingResult initial = controller.solver().solve(
-        proto.tracker.ideal_report(proto.scene.rig_pose()),
-        channel.voltages());
-    const core::ExhaustiveAligner polish =
-        ctx != nullptr ? core::ExhaustiveAligner({}, *ctx)
-                       : core::ExhaustiveAligner();
-    channel.set_voltages(
-        polish.align(proto.scene, initial.voltages).voltages);
-    channel.force_up();
-  }
-  proto.tracker.reset_schedule();  // simulation time restarts at 0
-
-  // Unified lifecycle: with a context, its clock (reset) is the session
-  // timeline; either way the scheduler comes from the session layer so a
-  // bound fleet Workspace can reuse one event slab across sessions.
+  // The context's clock (reset) is the session timeline; the scheduler
+  // comes from the session layer so a bound fleet Workspace can reuse one
+  // event slab across sessions.
   session::ScopedScheduler lease(session::bind_session_clock(ctx));
   event::Scheduler& sched = lease.get();
   event::EventCounter counter;
@@ -109,33 +82,6 @@ RunResult run_link_session_events_impl(sim::Prototype& proto,
   }
   return s.result;
 }
-
-}  // namespace
-
-RunResult run_link_session_events(sim::Prototype& proto,
-                                  core::TpController& controller,
-                                  const motion::MotionProfile& profile,
-                                  const SimOptions& options, SessionLog* log,
-                                  EventSessionStats* stats,
-                                  obs::Registry* registry) {
-  return run_link_session_events_impl(proto, controller, profile, options, log,
-                                      stats, registry, nullptr);
-}
-
-RunResult run_link_session_events(sim::Prototype& proto,
-                                  core::TpController& controller,
-                                  const motion::MotionProfile& profile,
-                                  const runtime::Context& ctx,
-                                  const SimOptions& options, SessionLog* log,
-                                  EventSessionStats* stats) {
-  return run_link_session_events_impl(proto, controller, profile, options, log,
-                                      stats, &ctx.registry(), &ctx);
-}
-
-HandoverProcess::HandoverProcess(std::size_t num_tx, HandoverConfig config,
-                                 event::Scheduler& sched,
-                                 const runtime::Context& ctx, SessionLog* log)
-    : HandoverProcess(num_tx, config, sched, log, &ctx.registry()) {}
 
 HandoverProcess::HandoverProcess(std::size_t num_tx, HandoverConfig config,
                                  event::Scheduler& sched, SessionLog* log,

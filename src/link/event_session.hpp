@@ -7,10 +7,9 @@
 // HandoverProcess gives multi-TX selection a real cancellable switch
 // timer — including handovers cancelled by the old TX reacquiring.
 //
-// The fixed-step run_link_simulation is kept as the §5.3 oracle; the
-// event session agrees with it closely (asserted in tests) but not
-// bit-for-bit, because reports are no longer quantized to the physics
-// step.
+// The quantized run_link_simulation is the §5.3 reference; the event
+// session agrees with it closely (asserted in tests) but not
+// bit-for-bit, because reports are not quantized to the physics step.
 #pragma once
 
 #include <cassert>
@@ -29,38 +28,26 @@
 
 namespace cyclops::link {
 
-// SessionEventType (kEvReportCapture & co.) now lives in
-// link/session_core.hpp, shared by every engine built on the core.
-
 struct EventSessionStats {
   std::uint64_t events = 0;     ///< Dispatched by the scheduler.
   std::uint64_t scheduled = 0;
 };
 
-/// Event-driven counterpart of run_link_simulation.  `log` (optional)
-/// receives per-slot transitions plus exact-time kRealignment events;
-/// `stats` (optional) receives the engine's event counts.
+/// Event-driven counterpart of run_link_simulation, run on `ctx`: its
+/// SimClock is reset to 0 and becomes the session timeline (the
+/// scheduler advances it in place, so ctx.clock().now() reads the
+/// session's current time) and the §5.3 start-up alignment polish fans
+/// out over its pool.  `log` (optional) receives per-slot transitions
+/// plus exact-time kRealignment events; `stats` (optional) receives the
+/// engine's event counts.
 ///
-/// `registry` (optional) receives session-plane metrics:
+/// ctx.registry() receives session-plane metrics:
 /// session_{realignments,tp_failures,slots,events_dispatched}_total
 /// counters, the session_realign_latency_us histogram (report capture to
 /// command settle, §5.2's end-to-end realignment latency) and the
 /// session_link_off_us histogram (contiguous link-down spans, §5.4's
 /// distributional view).  All values are sim-time quantities, so they are
 /// deterministic; no-op in CYCLOPS_OBS=OFF builds.
-RunResult run_link_session_events(sim::Prototype& proto,
-                                  core::TpController& controller,
-                                  const motion::MotionProfile& profile,
-                                  const SimOptions& options = {},
-                                  SessionLog* log = nullptr,
-                                  EventSessionStats* stats = nullptr,
-                                  obs::Registry* registry = nullptr);
-
-/// Context overload: the whole session runs on `ctx`.  Its registry
-/// receives the session metrics, its SimClock is reset to 0 and becomes
-/// the session timeline (the scheduler advances it in place, so
-/// ctx.clock().now() reads the session's current time), and the §5.3
-/// start-up alignment polish fans out over its pool.
 RunResult run_link_session_events(sim::Prototype& proto,
                                   core::TpController& controller,
                                   const motion::MotionProfile& profile,
@@ -85,11 +72,6 @@ class HandoverProcess final : public event::Process {
   HandoverProcess(std::size_t num_tx, HandoverConfig config,
                   event::Scheduler& sched, SessionLog* log = nullptr,
                   obs::Registry* registry = nullptr);
-
-  /// Context overload: handover metrics land in `ctx.registry()`.
-  HandoverProcess(std::size_t num_tx, HandoverConfig config,
-                  event::Scheduler& sched, const runtime::Context& ctx,
-                  SessionLog* log = nullptr);
 
   /// Feeds the per-TX achievable powers at sched.now(); returns the
   /// serving TX index, or -1 while a switch is in progress.

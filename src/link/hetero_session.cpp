@@ -1,10 +1,7 @@
 #include "link/hetero_session.hpp"
 
 #include <array>
-#include <deque>
-#include <optional>
 
-#include "core/exhaustive_aligner.hpp"
 #include "link/event_session.hpp"
 #include "obs/config.hpp"
 #include "phy/fso_channel.hpp"
@@ -13,69 +10,33 @@
 namespace cyclops::link {
 namespace {
 
-/// One slot across both channels: FSO steering plane (quantized report
-/// cadence, DAQ-latency command pipeline), both link-state machines, then
-/// the margin-space handover decision and service/rate accounting.
+/// One slot across both channels: the core's quantized FSO steering step,
+/// both link-state machines, then the margin-space handover decision and
+/// service/rate accounting.
 class HeteroSlotProcess final : public event::Process {
  public:
-  HeteroSlotProcess(sim::Prototype& proto, core::TpController& controller,
-                    phy::FsoChannel& fso, phy::Channel& fallback,
-                    const motion::MotionProfile& profile,
-                    const HeteroConfig& config, HandoverProcess& handover,
-                    HeteroResult& result, util::SimTimeUs duration)
-      : proto_(proto),
-        controller_(controller),
-        fso_(fso),
-        fallback_(fallback),
-        profile_(profile),
-        config_(config),
-        handover_(handover),
-        result_(result),
-        duration_(duration),
-        next_report_(proto.tracker.next_capture_time(0)) {}
+  HeteroSlotProcess(detail::SessionState& s, phy::Channel& fallback,
+                    const HeteroConfig& config, HandoverProcess& handover)
+      : s_(s), fallback_(fallback), config_(config), handover_(handover) {}
 
   void set_self(event::ProcessId id) noexcept { self_ = id; }
 
   void handle(event::Scheduler& sched, const event::Event& ev) override {
     const util::SimTimeUs now = ev.time;
-    const geom::Pose pose = profile_.pose_at(now);
+    const geom::Pose pose = s_.profile.pose_at(now);
 
-    sim::Scene& scene = fso_.scene();
+    sim::Scene& scene = s_.channel.scene();
     scene.clear_occluders();
     if (config_.fso_occlusion && config_.fso_occlusion(now)) {
       const geom::Vec3 mid =
           (scene.tx().mount().translation() + pose.translation()) * 0.5;
       scene.add_occluder({mid, 0.25});
     }
-
-    // FSO steering plane (quantized to the slot grid, like
-    // run_link_simulation's kEvent engine).
-    if (now >= next_report_) {
-      const util::SimTimeUs lag =
-          util::us_from_ms(proto_.tracker.config().position_lag_ms);
-      const geom::Pose lagged = profile_.pose_at(now > lag ? now - lag : 0);
-      const tracking::PoseReport report =
-          proto_.tracker.report(now, pose, lagged);
-      if (!report.lost) {
-        if (auto cmd = controller_.on_report(report)) {
-          pending_.push_back(*cmd);
-          ++result_.realignments;
-        }
-      }
-      next_report_ = proto_.tracker.next_capture_time(now);
-    }
-    while (!pending_.empty() && now >= pending_.front().apply_time) {
-      fso_.set_voltages(pending_.front().voltages);
-      if (log_) {
-        log_->on_event(pending_.front().apply_time,
-                       SessionEventKind::kRealignment);
-      }
-      pending_.pop_front();
-    }
+    s_.steer_quantized(now, pose);
 
     // Both channels sample the same pose; the handover decision runs in
     // margin space so the metrics stay unit-consistent.
-    const std::array<phy::Channel*, 2> channels = {&fso_, &fallback_};
+    const std::array<phy::Channel*, 2> channels = {&s_.channel, &fallback_};
     std::array<double, 2> metric{};
     std::array<bool, 2> up{};
     std::array<double, 2> margin{};
@@ -86,26 +47,26 @@ class HeteroSlotProcess final : public event::Process {
       if (margin[i] >= 0.0) ++usable_[i];
     }
 
-    const std::array<double, 2> decision = {
-        margin[0], margin[1] - config_.fallback_penalty_db};
+    const std::array<double, 2> decision = {margin[0],
+                                            margin[1] - kFallbackPenaltyDb};
     const int serving = handover_.on_powers(decision);
     ++slots_;
     bool serving_up = false;
     double slot_rate = 0.0;
     if (serving >= 0) {
-      const auto s = static_cast<std::size_t>(serving);
+      const auto i = static_cast<std::size_t>(serving);
       if (serving != last_serving_) {
         // The switch delay just paid for re-pointing + re-acquisition on
         // the new channel (HandoverConfig::switch_delay_s), so its state
         // machine comes up with the commit — same semantics as multi-TX.
-        channels[s]->force_up();
-        up[s] = channels[s]->step(now, metric[s]);
+        channels[i]->force_up();
+        up[i] = channels[i]->step(now, metric[i]);
         last_serving_ = serving;
       }
-      ++serving_slots_[s];
-      if (up[s]) {
+      ++serving_slots_[i];
+      if (up[i]) {
         serving_up = true;
-        slot_rate = channels[s]->rate_for(metric[s]);
+        slot_rate = channels[i]->rate_for(metric[i]);
         ++served_;
         rate_sum_ += slot_rate;
       }
@@ -113,7 +74,7 @@ class HeteroSlotProcess final : public event::Process {
     if (config_.on_slot) config_.on_slot(now, serving, serving_up, slot_rate);
 
     const util::SimTimeUs next = now + config_.step;
-    if (next < duration_) {
+    if (next < s_.duration) {
       event::Event slot;
       slot.time = next;
       slot.type = kEvSlotSample;
@@ -122,13 +83,13 @@ class HeteroSlotProcess final : public event::Process {
     }
   }
 
-  void set_log(SessionLog* log) noexcept { log_ = log; }
-
-  void finalize() {
-    result_.served_fraction =
+  void finalize(HeteroResult& result) const {
+    result.served_fraction =
         slots_ > 0 ? static_cast<double>(served_) / slots_ : 0.0;
-    result_.avg_rate_gbps = slots_ > 0 ? rate_sum_ / slots_ : 0.0;
-    const std::array<const phy::Channel*, 2> channels = {&fso_, &fallback_};
+    result.avg_rate_gbps = slots_ > 0 ? rate_sum_ / slots_ : 0.0;
+    result.realignments = s_.result.realignments;
+    const std::array<const phy::Channel*, 2> channels = {&s_.channel,
+                                                         &fallback_};
     for (std::size_t i = 0; i < channels.size(); ++i) {
       HeteroChannelStats stats;
       stats.name = channels[i]->info().name;
@@ -136,7 +97,7 @@ class HeteroSlotProcess final : public event::Process {
           slots_ > 0 ? static_cast<double>(usable_[i]) / slots_ : 0.0;
       stats.serving_fraction =
           slots_ > 0 ? static_cast<double>(serving_slots_[i]) / slots_ : 0.0;
-      result_.channels.push_back(stats);
+      result.channels.push_back(stats);
     }
   }
 
@@ -145,20 +106,12 @@ class HeteroSlotProcess final : public event::Process {
   const char* name() const noexcept override { return "hetero-slot"; }
 
  private:
-  sim::Prototype& proto_;
-  core::TpController& controller_;
-  phy::FsoChannel& fso_;
+  detail::SessionState& s_;
   phy::Channel& fallback_;
-  const motion::MotionProfile& profile_;
   const HeteroConfig& config_;
   HandoverProcess& handover_;
-  HeteroResult& result_;
-  util::SimTimeUs duration_;
-  util::SimTimeUs next_report_;
-  SessionLog* log_ = nullptr;
   event::ProcessId self_ = event::kNoProcess;
 
-  std::deque<core::PendingCommand> pending_;
   int last_serving_ = 0;
   std::array<int, 2> usable_{};
   std::array<int, 2> serving_slots_{};
@@ -167,30 +120,25 @@ class HeteroSlotProcess final : public event::Process {
   double rate_sum_ = 0.0;
 };
 
-HeteroResult run_hetero_session_impl(sim::Prototype& proto,
-                                     core::TpController& controller,
-                                     phy::Channel& fallback,
-                                     const motion::MotionProfile& profile,
-                                     const HeteroConfig& config,
-                                     SessionLog* log, obs::Registry* registry,
-                                     const runtime::Context* ctx) {
-  if constexpr (!obs::kEnabled) registry = nullptr;
-  HeteroResult result;
-  phy::FsoChannel fso(proto.scene);
-  const util::SimTimeUs duration = util::us_from_s(profile.duration_s());
+}  // namespace
 
-  proto.scene.set_rig_pose(profile.pose_at(0));
-  if (config.align_at_start) {
-    const core::PointingResult initial = controller.solver().solve(
-        proto.tracker.ideal_report(proto.scene.rig_pose()), fso.voltages());
-    const core::ExhaustiveAligner polish =
-        ctx != nullptr ? core::ExhaustiveAligner({}, *ctx)
-                       : core::ExhaustiveAligner();
-    fso.set_voltages(polish.align(proto.scene, initial.voltages).voltages);
-    fso.force_up();
-    fallback.force_up();
-  }
-  proto.tracker.reset_schedule();
+HeteroResult run_hetero_session(sim::Prototype& proto,
+                                core::TpController& controller,
+                                phy::Channel& fallback,
+                                const motion::MotionProfile& profile,
+                                const runtime::Context& ctx,
+                                const HeteroConfig& config, SessionLog* log) {
+  obs::Registry* registry = obs::kEnabled ? &ctx.registry() : nullptr;
+  phy::FsoChannel fso(proto.scene);
+  SimOptions options;
+  options.step = config.step;
+  detail::SessionState s{proto, controller, profile,
+                         options, log,        detail::SessionMetrics(nullptr),
+                         fso};
+  s.duration = util::us_from_s(profile.duration_s());
+  detail::start_aligned(proto, controller, profile, fso, ctx);
+  fallback.force_up();
+  s.next_report = proto.tracker.next_capture_time(0);
 
   session::ScopedScheduler lease(session::bind_session_clock(ctx));
   event::Scheduler& sched = lease.get();
@@ -198,12 +146,10 @@ HeteroResult run_hetero_session_impl(sim::Prototype& proto,
   // slot that samples it (same tie discipline as run_multi_tx_session).
   HandoverProcess handover(2, config.handover, sched, log, registry);
 
-  HeteroSlotProcess slot(proto, controller, fso, fallback, profile, config,
-                         handover, result, duration);
-  slot.set_log(log);
+  HeteroSlotProcess slot(s, fallback, config, handover);
   const event::ProcessId slot_id = sched.add_process(&slot);
   slot.set_self(slot_id);
-  if (duration > 0) {
+  if (s.duration > 0) {
     event::Event first;
     first.time = 0;
     first.type = kEvSlotSample;
@@ -211,8 +157,9 @@ HeteroResult run_hetero_session_impl(sim::Prototype& proto,
     sched.schedule(first);
   }
   sched.run();
-  slot.finalize();
 
+  HeteroResult result;
+  slot.finalize(result);
   result.switches = handover.switches();
   result.cancelled_switches = handover.cancelled_switches();
   result.events = sched.dispatched();
@@ -225,28 +172,6 @@ HeteroResult run_hetero_session_impl(sim::Prototype& proto,
         .inc(sched.dispatched());
   }
   return result;
-}
-
-}  // namespace
-
-HeteroResult run_hetero_session(sim::Prototype& proto,
-                                core::TpController& controller,
-                                phy::Channel& fallback,
-                                const motion::MotionProfile& profile,
-                                const HeteroConfig& config, SessionLog* log,
-                                obs::Registry* registry) {
-  return run_hetero_session_impl(proto, controller, fallback, profile, config,
-                                 log, registry, nullptr);
-}
-
-HeteroResult run_hetero_session(sim::Prototype& proto,
-                                core::TpController& controller,
-                                phy::Channel& fallback,
-                                const motion::MotionProfile& profile,
-                                const runtime::Context& ctx,
-                                const HeteroConfig& config, SessionLog* log) {
-  return run_hetero_session_impl(proto, controller, fallback, profile, config,
-                                 log, &ctx.registry(), &ctx);
 }
 
 }  // namespace cyclops::link

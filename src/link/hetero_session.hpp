@@ -8,6 +8,11 @@
 // contributes metric − sensitivity, and HandoverConfig::drop_threshold_dbm
 // is therefore 0.0 by default here ("drop when the serving channel loses
 // its own link margin").
+//
+// Every session starts from the §5.3 aligned link (FSO steered onto the
+// RX, both link-state machines forced up/trained), and the FSO chain is
+// steered by the session core's grid-quantized step — the one
+// run_link_simulation uses.
 #pragma once
 
 #include <cstdint>
@@ -20,27 +25,24 @@
 #include "link/session_core.hpp"
 #include "link/session_log.hpp"
 #include "motion/profile.hpp"
-#include "obs/registry.hpp"
 #include "phy/channel.hpp"
 #include "runtime/context.hpp"
 #include "sim/prototype.hpp"
 
 namespace cyclops::link {
 
+/// Policy bias for the primary: the fallback's margin is charged this
+/// many dB in the handover decision (not in usable_fraction).  mmWave SNR
+/// margins are numerically far larger than optical ones, so without a
+/// bias the session would camp on the fallback; with it, the fallback
+/// serves only while the FSO chain is actually degraded.
+inline constexpr double kFallbackPenaltyDb = 30.0;
+
 struct HeteroConfig {
   /// Handover thresholds in margin space (dB above each channel's own
   /// sensitivity).  Hysteresis keeps the session on FSO while it holds.
   HandoverConfig handover{.hysteresis_db = 3.0, .drop_threshold_dbm = 0.0};
-  /// Policy bias for the primary: the fallback's margin is charged this
-  /// many dB in the handover decision (not in usable_fraction).  mmWave
-  /// SNR margins are numerically far larger than optical ones, so without
-  /// a bias the session would camp on the fallback; with it, the fallback
-  /// serves only while the FSO chain is actually degraded.
-  double fallback_penalty_db = 30.0;
   util::SimTimeUs step = 1000;
-  /// §5.3 aligned start: FSO steered onto the RX and both link-state
-  /// machines forced up/trained.
-  bool align_at_start = true;
   /// Optional FSO LOS obstruction (occluder mid-beam while true); the
   /// fallback channel models its own blockage (MmWaveChannelConfig).
   std::function<bool(util::SimTimeUs)> fso_occlusion;
@@ -71,21 +73,11 @@ struct HeteroResult {
 };
 
 /// Runs the FSO chain of `proto`/`controller` plus `fallback` over
-/// `profile` in one scheduler.  `log` (optional) receives kHandover /
-/// kReacquisition / kRealignment events; `registry` (optional) receives
-/// hetero_{slots,served,events_dispatched}_total counters plus the
-/// HandoverProcess metrics.
-HeteroResult run_hetero_session(sim::Prototype& proto,
-                                core::TpController& controller,
-                                phy::Channel& fallback,
-                                const motion::MotionProfile& profile,
-                                const HeteroConfig& config = {},
-                                SessionLog* log = nullptr,
-                                obs::Registry* registry = nullptr);
-
-/// Context overload: metrics land in ctx.registry(), the scheduler rides
-/// ctx.clock() (reset to 0), and the start-up alignment polish fans out
-/// over ctx.pool().
+/// `profile` in one scheduler riding ctx.clock() (reset to 0); the
+/// start-up alignment polish fans out over ctx.pool().  `log` (optional)
+/// receives kHandover / kReacquisition / kRealignment events;
+/// ctx.registry() receives hetero_{slots,served,events_dispatched}_total
+/// counters plus the HandoverProcess metrics.
 HeteroResult run_hetero_session(sim::Prototype& proto,
                                 core::TpController& controller,
                                 phy::Channel& fallback,

@@ -6,6 +6,7 @@
 
 #include "event/scheduler.hpp"
 #include "link/event_session.hpp"
+#include "obs/config.hpp"
 #include "phy/fso_channel.hpp"
 #include "session/lifecycle.hpp"
 
@@ -95,7 +96,7 @@ class MultiTxSlotProcess final : public event::Process {
         s_.profile.pose_at(now > s_.lag ? now - s_.lag : 0);
     const bool do_report = now >= s_.next_report;
     if (do_report) {
-      s_.next_report = now + util::us_from_ms(s_.config.report_period_ms);
+      s_.next_report = now + util::us_from_ms(kMultiTxReportPeriodMs);
     }
 
     for (std::size_t i = 0; i < s_.chains.size(); ++i) {
@@ -168,14 +169,14 @@ class MultiTxSlotProcess final : public event::Process {
   event::ProcessId self_ = event::kNoProcess;
 };
 
-/// Shared body of the two public overloads; `ctx` (optional) supplies the
-/// session clock.
-MultiTxResult run_multi_tx_session_impl(
+}  // namespace
+
+MultiTxResult run_multi_tx_session(
     std::vector<TxChain>& chains, const motion::MotionProfile& profile,
     const MultiTxConfig& config,
     const std::function<bool(util::SimTimeUs, std::size_t)>& occlusion,
-    SessionLog* log, obs::Registry* registry, const runtime::Context* ctx) {
-  if constexpr (!obs::kEnabled) registry = nullptr;
+    const runtime::Context& ctx, SessionLog* log) {
+  obs::Registry* registry = obs::kEnabled ? &ctx.registry() : nullptr;
   MultiTxResult result;
   if (chains.empty()) return result;
 
@@ -253,26 +254,6 @@ MultiTxResult run_multi_tx_session_impl(
         .inc(sched.dispatched());
   }
   return result;
-}
-
-}  // namespace
-
-MultiTxResult run_multi_tx_session(
-    std::vector<TxChain>& chains, const motion::MotionProfile& profile,
-    const MultiTxConfig& config,
-    const std::function<bool(util::SimTimeUs, std::size_t)>& occlusion,
-    SessionLog* log, obs::Registry* registry) {
-  return run_multi_tx_session_impl(chains, profile, config, occlusion, log,
-                                   registry, nullptr);
-}
-
-MultiTxResult run_multi_tx_session(
-    std::vector<TxChain>& chains, const motion::MotionProfile& profile,
-    const MultiTxConfig& config,
-    const std::function<bool(util::SimTimeUs, std::size_t)>& occlusion,
-    const runtime::Context& ctx, SessionLog* log) {
-  return run_multi_tx_session_impl(chains, profile, config, occlusion, log,
-                                   &ctx.registry(), &ctx);
 }
 
 }  // namespace cyclops::link

@@ -14,7 +14,6 @@
 #include "link/handover.hpp"
 #include "link/session_log.hpp"
 #include "motion/profile.hpp"
-#include "obs/registry.hpp"
 #include "runtime/context.hpp"
 
 namespace cyclops::link {
@@ -40,10 +39,13 @@ struct TxChain {
                                                   runtime::Context::default_ctx());
 };
 
+/// VRH-T report cadence of the multi-TX session (the tracker's nominal
+/// 80 Hz period; every chain's TP controller sees each report).
+inline constexpr double kMultiTxReportPeriodMs = 12.5;
+
 struct MultiTxConfig {
   HandoverConfig handover;
   util::SimTimeUs step = 1000;
-  double report_period_ms = 12.5;
   /// Per-chain TP configuration (DAQ latency, optional pose prediction).
   core::TpConfig tp;
   /// Per-slot decision tap (mirrors HeteroConfig::on_slot): called after
@@ -81,19 +83,12 @@ TxChain make_tx_chain(std::uint64_t seed, const geom::Vec3& tx_position,
 /// from it).  `log` (optional) receives kHandover / kReacquisition events
 /// at their exact timestamps.
 ///
-/// `registry` (optional) receives multi_tx_{slots,served,events_dispatched}
-/// _total counters plus the handover metrics documented on HandoverProcess
-/// (switches, cancellations, reacquisition time).  No-op in
-/// CYCLOPS_OBS=OFF builds.
-MultiTxResult run_multi_tx_session(
-    std::vector<TxChain>& chains, const motion::MotionProfile& profile,
-    const MultiTxConfig& config,
-    const std::function<bool(util::SimTimeUs, std::size_t)>& occlusion,
-    SessionLog* log = nullptr, obs::Registry* registry = nullptr);
-
-/// Context overload: the session metrics land in ctx.registry() and the
-/// scheduler rides ctx.clock() (reset to 0 at session start, advanced in
-/// place — ctx.clock().now() reads the session's current time).
+/// The scheduler rides ctx.clock() (reset to 0 at session start, advanced
+/// in place — ctx.clock().now() reads the session's current time).
+/// ctx.registry() receives multi_tx_{slots,served,events_dispatched}
+/// _total counters plus the handover metrics documented on
+/// HandoverProcess (switches, cancellations, reacquisition time).  No-op
+/// in CYCLOPS_OBS=OFF builds.
 MultiTxResult run_multi_tx_session(
     std::vector<TxChain>& chains, const motion::MotionProfile& profile,
     const MultiTxConfig& config,

@@ -92,6 +92,36 @@ void SamplerProcess::handle(event::Scheduler& sched, const event::Event&) {
   }
 }
 
+void SessionState::steer_quantized(util::SimTimeUs now,
+                                   const geom::Pose& pose) {
+  if (now >= next_report) {
+    const util::SimTimeUs lag =
+        util::us_from_ms(proto.tracker.config().position_lag_ms);
+    const geom::Pose lagged = profile.pose_at(now > lag ? now - lag : 0);
+    const tracking::PoseReport report = proto.tracker.report(now, pose, lagged);
+    if (!report.lost) {
+      if (auto cmd = controller.on_report(report)) {
+        pending.push_back(*cmd);
+        ++result.realignments;
+      }
+    }
+    next_report = proto.tracker.next_capture_time(now);
+  }
+  drain_commands(now);
+}
+
+void start_aligned(sim::Prototype& proto, core::TpController& controller,
+                   const motion::MotionProfile& profile,
+                   phy::FsoChannel& channel, const runtime::Context& ctx) {
+  proto.scene.set_rig_pose(profile.pose_at(0));
+  const core::PointingResult initial = controller.solver().solve(
+      proto.tracker.ideal_report(proto.scene.rig_pose()), channel.voltages());
+  const core::ExhaustiveAligner polish({}, ctx);
+  channel.set_voltages(polish.align(proto.scene, initial.voltages).voltages);
+  channel.force_up();
+  proto.tracker.reset_schedule();  // simulation time restarts at 0
+}
+
 namespace {
 
 /// The quantized engine: the legacy fixed-step loop's per-slot arithmetic,
@@ -103,15 +133,14 @@ namespace {
 /// oracle's order, making the per-window output bit-identical.
 class QuantizedFsoProcess final : public event::Process {
  public:
-  QuantizedFsoProcess(SessionState& s, util::SimTimeUs first_report)
-      : s_(s), next_report_(first_report) {}
+  explicit QuantizedFsoProcess(SessionState& s) : s_(s) {}
 
   void handle(event::Scheduler& sched, const event::Event& ev) override {
     for (util::SimTimeUs now = ev.time;;) {
       run_slot(now);
       const util::SimTimeUs next = now + s_.options.step;
       if (next >= s_.duration) return;
-      if (next >= next_report_) {
+      if (next >= s_.next_report) {
         // The next slot delivers a tracker report: make it an event so
         // the timeline stays inspectable (and hookable) at the control
         // plane's cadence.
@@ -132,26 +161,9 @@ class QuantizedFsoProcess final : public event::Process {
  private:
   void run_slot(util::SimTimeUs now) {
     const geom::Pose pose = s_.profile.pose_at(now);
-
-    // Tracker report?  (Quantized: fires on the slot grid, like the
-    // oracle; the report path never reads the scene, so deferring the
-    // rig-pose write into power_at below is arithmetic-neutral.)
-    if (now >= next_report_) {
-      const util::SimTimeUs lag =
-          util::us_from_ms(s_.proto.tracker.config().position_lag_ms);
-      const geom::Pose lagged = s_.profile.pose_at(now > lag ? now - lag : 0);
-      const tracking::PoseReport report =
-          s_.proto.tracker.report(now, pose, lagged);
-      if (!report.lost) {
-        if (auto cmd = s_.controller.on_report(report)) {
-          s_.pending.push_back(*cmd);
-          ++s_.result.realignments;
-        }
-      }
-      next_report_ = s_.proto.tracker.next_capture_time(now);
-    }
-    // Apply pending realignments once their latency has elapsed.
-    s_.drain_commands(now);
+    // The report path never reads the scene, so deferring the rig-pose
+    // write into power_at below is arithmetic-neutral.
+    s_.steer_quantized(now, pose);
 
     const double power = s_.channel.power_at(pose, now);
     const bool up = s_.channel.step(now, power);
@@ -169,7 +181,6 @@ class QuantizedFsoProcess final : public event::Process {
   }
 
   SessionState& s_;
-  util::SimTimeUs next_report_ = 0;
   event::ProcessId self_ = event::kNoProcess;
 };
 
@@ -185,23 +196,14 @@ RunResult run_link_simulation(sim::Prototype& proto,
   detail::SessionState s{proto,   controller, profile, options,
                          nullptr, detail::SessionMetrics(nullptr), channel};
   s.duration = util::us_from_s(profile.duration_s());
-
-  proto.scene.set_rig_pose(profile.pose_at(0));
-  if (options.align_at_start) {
-    // §5.3 protocol: each run starts from an aligned link.  Same calls,
-    // same order, same RNG draws as the oracle.
-    sim::Voltages applied = channel.voltages();
-    const core::PointingResult initial = controller.solver().solve(
-        proto.tracker.ideal_report(proto.scene.rig_pose()), applied);
-    applied = initial.voltages;
-    core::ExhaustiveAligner polish;
-    channel.set_voltages(polish.align(proto.scene, applied).voltages);
-    channel.force_up();
-  }
-  proto.tracker.reset_schedule();  // simulation time restarts at 0
+  // §5.3 protocol: each run starts from an aligned link.  Same calls,
+  // same order, same RNG draws as the oracle.
+  detail::start_aligned(proto, controller, profile, channel,
+                        runtime::Context::default_ctx());
+  s.next_report = proto.tracker.next_capture_time(0);
 
   event::Scheduler sched;
-  detail::QuantizedFsoProcess engine(s, proto.tracker.next_capture_time(0));
+  detail::QuantizedFsoProcess engine(s);
   const event::ProcessId engine_id = sched.add_process(&engine);
   engine.set_self(engine_id);
   if (s.duration > 0) {
@@ -273,16 +275,16 @@ class ChannelSlotProcess final : public event::Process {
   event::ProcessId self_ = event::kNoProcess;
 };
 
-RunResult run_channel_session_impl(phy::Channel& channel,
-                                   const motion::MotionProfile& profile,
-                                   const ChannelSessionOptions& options,
-                                   obs::Registry* registry,
-                                   const runtime::Context* ctx,
-                                   ChannelSessionStats* stats) {
-  if constexpr (!obs::kEnabled) registry = nullptr;
+}  // namespace
+
+RunResult run_channel_session(phy::Channel& channel,
+                              const motion::MotionProfile& profile,
+                              const runtime::Context& ctx,
+                              const ChannelSessionOptions& options,
+                              ChannelSessionStats* stats) {
   RunResult result;
   const util::SimTimeUs duration = util::us_from_s(profile.duration_s());
-  if (options.force_up_at_start) channel.force_up();
+  channel.force_up();
 
   session::ScopedScheduler lease(session::bind_session_clock(ctx));
   event::Scheduler& sched = lease.get();
@@ -304,34 +306,16 @@ RunResult run_channel_session_impl(phy::Channel& channel,
     stats->events = sched.dispatched();
     stats->slots = static_cast<std::uint64_t>(slots.total_slots());
   }
-  if (registry != nullptr) {
+  if constexpr (obs::kEnabled) {
     const obs::Labels labels{{"channel", channel.info().name}};
-    registry->counter("channel_session_slots_total", labels)
+    ctx.registry()
+        .counter("channel_session_slots_total", labels)
         .inc(static_cast<std::uint64_t>(slots.total_slots()));
-    registry->counter("channel_session_events_dispatched_total", labels)
+    ctx.registry()
+        .counter("channel_session_events_dispatched_total", labels)
         .inc(sched.dispatched());
   }
   return result;
-}
-
-}  // namespace
-
-RunResult run_channel_session(phy::Channel& channel,
-                              const motion::MotionProfile& profile,
-                              const ChannelSessionOptions& options,
-                              obs::Registry* registry,
-                              ChannelSessionStats* stats) {
-  return run_channel_session_impl(channel, profile, options, registry,
-                                  nullptr, stats);
-}
-
-RunResult run_channel_session(phy::Channel& channel,
-                              const motion::MotionProfile& profile,
-                              const runtime::Context& ctx,
-                              const ChannelSessionOptions& options,
-                              ChannelSessionStats* stats) {
-  return run_channel_session_impl(channel, profile, options, &ctx.registry(),
-                                  &ctx, stats);
 }
 
 }  // namespace cyclops::link

@@ -1,5 +1,5 @@
 // The unified event-driven session core (the engine behind every closed
-// loop in src/link since the phy refactor).
+// loop in src/link).
 //
 // One set of processes — plant, tracker, sampler — parameterized by a
 // phy::Channel runs:
@@ -15,7 +15,14 @@
 //     with no steering plane, which is how bench/baseline_mmwave and
 //     bench/future_wdm ride the same core,
 //   * run_hetero_session (link/hetero_session) — FSO + fallback channel
-//     in one scheduler.
+//     in one scheduler, steered by the same quantized step as
+//     run_link_simulation.
+//
+// Every driver takes the session's runtime::Context: its registry gets
+// the session metrics, its clock (reset to 0) is the session timeline,
+// and its pool runs the start-up alignment polish.  Components a driver
+// builds (HandoverProcess, phy channels) take only the obs::Registry*
+// they record into.
 #pragma once
 
 #include <algorithm>
@@ -38,8 +45,7 @@
 namespace cyclops::link {
 
 /// Event types of the session processes (payload: i64 = chain index for
-/// apply/switch events).  Lived in event_session.hpp before the core was
-/// unified.
+/// apply/switch events).
 enum SessionEventType : event::EventType {
   kEvReportCapture = 1,  ///< VRH-T captures (and delivers) a pose report.
   kEvApplyCommand,       ///< A DAQ voltage command finishes settling.
@@ -52,8 +58,6 @@ enum SessionEventType : event::EventType {
 struct ChannelSessionOptions {
   util::SimTimeUs step = 500;
   util::SimTimeUs window = 50000;
-  /// Start with the link-state machine up/trained (§5.3 protocol).
-  bool force_up_at_start = true;
   /// Optional per-slot observer: (time, traffic flows?, metric).
   std::function<void(util::SimTimeUs, bool, double)> on_slot;
 };
@@ -65,19 +69,12 @@ struct ChannelSessionStats {
   std::uint64_t slots = 0;   ///< Channel slots sampled.
 };
 
-/// Runs `channel` over `profile` on the event scheduler.  The RunResult's
-/// windows carry the channel metric in the power fields; throughput is
-/// rate-aware (see RunResult::avg_rate_gbps).  `registry` (optional)
-/// receives channel_session_{slots,events_dispatched}_total counters
-/// labeled {channel=<name>}.
-RunResult run_channel_session(phy::Channel& channel,
-                              const motion::MotionProfile& profile,
-                              const ChannelSessionOptions& options = {},
-                              obs::Registry* registry = nullptr,
-                              ChannelSessionStats* stats = nullptr);
-
-/// Context overload: metrics land in ctx.registry() and the scheduler
-/// rides ctx.clock() (reset to 0 — session isolation for the baseline).
+/// Runs `channel` over `profile` on the event scheduler, starting with
+/// its link-state machine up/trained (the §5.3 protocol).  The
+/// RunResult's windows carry the channel metric in the power fields;
+/// throughput is rate-aware (see RunResult::avg_rate_gbps).
+/// ctx.registry() receives channel_session_{slots,events_dispatched}_total
+/// counters labeled {channel=<name>}; the scheduler rides ctx.clock().
 RunResult run_channel_session(phy::Channel& channel,
                               const motion::MotionProfile& profile,
                               const runtime::Context& ctx,
@@ -192,9 +189,10 @@ struct SessionMetrics {
   }
 };
 
-/// State shared by the exact-timing session processes (single-TX closed
-/// loop).  The plant — applied voltages and SFP state machine — now lives
-/// inside the phy::FsoChannel.
+/// State shared by the single-TX FSO session processes — the quantized
+/// engine, the exact-timing tracker/plant/sampler, and the hetero slot.
+/// The plant (applied voltages and SFP state machine) is the
+/// phy::FsoChannel.
 struct SessionState {
   sim::Prototype& proto;
   core::TpController& controller;
@@ -206,6 +204,8 @@ struct SessionState {
 
   std::deque<core::PendingCommand> pending;
   util::SimTimeUs duration = 0;
+  /// Next grid-quantized report time (steer_quantized only).
+  util::SimTimeUs next_report = 0;
 
   RunResult result;
   WindowTally tally;
@@ -227,7 +227,21 @@ struct SessionState {
       pending.pop_front();
     }
   }
+
+  /// The grid-quantized steering step: once `now` reaches next_report the
+  /// VRH-T reports the lagged pose and the TP controller's command joins
+  /// the pending queue; then every command settled by `now` applies.
+  /// The fixed-step oracle's arithmetic and RNG draws, in its order.
+  void steer_quantized(util::SimTimeUs now, const geom::Pose& pose);
 };
+
+/// §5.3 aligned start shared by the FSO drivers: the rig at its t=0
+/// pose, the ideal report solved and polished by core::ExhaustiveAligner
+/// (rows fanned out over ctx.pool()), the link state forced up, and the
+/// tracker schedule restarted at t=0.
+void start_aligned(sim::Prototype& proto, core::TpController& controller,
+                   const motion::MotionProfile& profile,
+                   phy::FsoChannel& channel, const runtime::Context& ctx);
 
 /// VRH-T process: captures a (noisy, jittered-cadence) report at its
 /// exact capture time, runs the TP controller, and schedules the command

@@ -23,10 +23,6 @@ MmWaveChannel::MmWaveChannel(MmWaveChannelConfig config,
       session_(config_.radio, registry),
       info_(make_mmwave_info(config_.radio)) {}
 
-MmWaveChannel::MmWaveChannel(MmWaveChannelConfig config,
-                             const runtime::Context& ctx)
-    : MmWaveChannel(std::move(config), &ctx.registry()) {}
-
 double MmWaveChannel::power_at(const geom::Pose& rig_pose, util::SimTimeUs t) {
   if (have_pose_) {
     cum_rotation_rad_ += geom::rotation_distance(last_pose_, rig_pose);

@@ -33,8 +33,6 @@ class MmWaveChannel final : public Channel {
   /// see baseline::MmWaveSession) lands in `registry` when given.
   explicit MmWaveChannel(MmWaveChannelConfig config,
                          obs::Registry* registry = nullptr);
-  /// Context overload: metrics land in ctx.registry() (session isolation).
-  MmWaveChannel(MmWaveChannelConfig config, const runtime::Context& ctx);
 
   const ChannelInfo& info() const noexcept override { return info_; }
 

@@ -9,16 +9,17 @@
 //   * time        — a util::SimClock the session's schedulers ride, plus
 //                   a wall-clock origin for wall-time bookkeeping
 //
-// Context::default_ctx() borrows the process-wide pool and registry, so a
-// call site migrated from ThreadPool::global() / Registry::global() to a
-// defaulted Context parameter behaves exactly as before — migration is
-// incremental, one signature at a time.  Context::isolated() instead owns
-// fresh copies of everything, which is what lets N sessions run
-// concurrently in one process without sharing (or corrupting) each
+// Every session driver takes a Context (its clock is the session
+// timeline); the components a driver builds take only the obs::Registry*
+// they record into.  Context::default_ctx() borrows the process-wide pool
+// and registry — the default of the solver planes.  Context::isolated()
+// instead owns fresh copies of everything, which is what lets N sessions
+// run concurrently in one process without sharing (or corrupting) each
 // other's metrics, RNG streams, pool, or clock: give each session its own
 // isolated context and its outputs and exported metrics are bit-identical
 // to running it alone (link::run_concurrent_sessions proves this in
-// tests; see DESIGN.md §11).
+// tests; see DESIGN.md §11).  Concurrent sessions never share
+// default_ctx(): its clock is shared.
 #pragma once
 
 #include <chrono>

@@ -1,8 +1,12 @@
 #include "session/catalog.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -116,7 +120,7 @@ class ChannelRunner final : public SessionRunner {
   const char* name() const noexcept override { return "channel"; }
 
   void prepare(runtime::Context& ctx) override {
-    channel_.emplace(phy::MmWaveChannelConfig{}, ctx);
+    channel_.emplace(phy::MmWaveChannelConfig{}, &ctx.registry());
     const geom::Pose base{geom::Mat3::identity(), {0.0, 0.8, 1.2}};
     util::Rng trace_rng = ctx.rng(/*key=*/1);
     trace_ = motion::generate_viewing_trace(base, trace_config(spec_),
@@ -158,7 +162,7 @@ class HeteroRunner final : public SessionRunner {
     proto_.emplace(sim::make_prototype(100 + spec_.seed % 512,
                                        sim::prototype_25g_config()));
     controller_.emplace(truth_solver(*proto_, ctx), core::TpConfig{});
-    fallback_.emplace(phy::MmWaveChannelConfig{}, ctx);
+    fallback_.emplace(phy::MmWaveChannelConfig{}, &ctx.registry());
     util::Rng trace_rng = ctx.rng(/*key=*/1);
     trace_ = motion::generate_viewing_trace(proto_->nominal_rig_pose,
                                             trace_config(spec_), trace_rng);
@@ -379,7 +383,7 @@ class OnlineRecalRunner final : public SessionRunner {
     config.pose_position_extent *= spec_.intensity;
     config.pose_angle_extent *= spec_.intensity;
     const cal::OnlineRecalResult r =
-        cal::run_online_recal_session(*proto_, *calibration_, config, &ctx);
+        cal::run_online_recal_session(*proto_, *calibration_, config, ctx);
     Report report;
     report.events = r.events;
     report.slots = r.slots;
@@ -398,6 +402,16 @@ class OnlineRecalRunner final : public SessionRunner {
 }  // namespace
 
 std::unique_ptr<SessionRunner> make_runner(const SessionSpec& spec) {
+  if (spec.step_us <= 0) {
+    throw std::invalid_argument("SessionSpec.step_us must be > 0, got " +
+                                std::to_string(spec.step_us));
+  }
+  if (!std::isfinite(spec.duration_s) || spec.duration_s < 0.0) {
+    std::ostringstream message;
+    message << "SessionSpec.duration_s must be finite and >= 0, got "
+            << spec.duration_s;
+    throw std::invalid_argument(message.str());
+  }
   switch (spec.variant) {
     case Variant::kLink: return std::make_unique<LinkRunner>(spec);
     case Variant::kChannel: return std::make_unique<ChannelRunner>(spec);
@@ -407,7 +421,9 @@ std::unique_ptr<SessionRunner> make_runner(const SessionSpec& spec) {
     case Variant::kStream: return std::make_unique<StreamRunner>(spec);
     case Variant::kOnlineRecal: return std::make_unique<OnlineRecalRunner>(spec);
   }
-  return std::make_unique<ChannelRunner>(spec);
+  throw std::invalid_argument(
+      "SessionSpec.variant out of range, got " +
+      std::to_string(static_cast<unsigned>(spec.variant)));
 }
 
 RunnerFactory catalog_factory() {

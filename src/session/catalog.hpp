@@ -13,7 +13,10 @@
 
 namespace cyclops::session {
 
-/// Concrete runner for `spec.variant`.
+/// Concrete runner for `spec.variant`.  The spec boundary: throws
+/// std::invalid_argument naming the field and its value for
+/// step_us <= 0, a non-finite or negative duration_s, or an
+/// out-of-range variant.
 std::unique_ptr<SessionRunner> make_runner(const SessionSpec& spec);
 
 /// The catalog as a RunnerFactory (what run_fleet / run_session take).

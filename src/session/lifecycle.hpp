@@ -68,12 +68,10 @@ Workspace* current_workspace() noexcept;
 
 /// Context-to-timeline step of the lifecycle: resets the session clock
 /// (a context represents one session timeline; the session starts at
-/// t=0) and hands it to ScopedScheduler.  nullptr stays nullptr — the
-/// self-clocked mode.
-inline util::SimClock* bind_session_clock(const runtime::Context* ctx) {
-  if (ctx == nullptr) return nullptr;
-  ctx->clock().reset();
-  return &ctx->clock();
+/// t=0) and hands it to ScopedScheduler.
+inline util::SimClock* bind_session_clock(const runtime::Context& ctx) {
+  ctx.clock().reset();
+  return &ctx.clock();
 }
 
 /// Scheduler acquisition for one session.  With a clock: the scheduler

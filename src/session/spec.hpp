@@ -57,7 +57,10 @@ struct SessionSpec {
   std::uint32_t num_tx = 2;       ///< kMultiTx / kArena
   std::uint32_t num_players = 4;  ///< kArena
   std::uint32_t spectators = 0;   ///< kStream fan-out
-  util::SimTimeUs step_us = 1000; ///< Sampling slot where the variant has one.
+  /// Sampling slot where the variant has one; must be > 0 for every
+  /// variant (make_runner rejects anything else, as it does a negative
+  /// or non-finite duration_s and an out-of-range variant).
+  util::SimTimeUs step_us = 1000;
 };
 
 }  // namespace cyclops::session

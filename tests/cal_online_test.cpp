@@ -12,8 +12,7 @@
 #include "cal/online.hpp"
 #include "core/calibration.hpp"
 #include "core/drift_monitor.hpp"
-#include "obs/config.hpp"
-#include "obs/registry.hpp"
+#include "runtime/context.hpp"
 #include "sim/prototype.hpp"
 
 using namespace cyclops;
@@ -90,21 +89,6 @@ TEST(DriftMonitorBoundaryTest, BlackoutsDoNotMoveTheBoundary) {
   EXPECT_TRUE(monitor.recalibration_needed());
 }
 
-TEST(DriftMonitorBoundaryTest, PublishExportsStateGauges) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled out";
-  core::DriftMonitor monitor(boundary_config());
-  for (int i = 0; i < 8; ++i) monitor.on_post_realignment_power(-15.0);
-  obs::Registry registry;
-  monitor.publish(registry);
-  EXPECT_EQ(registry.gauge("drift_monitor_ema_dbm").value(), -15.0);
-  EXPECT_EQ(registry.gauge("drift_monitor_samples").value(), 8.0);
-  EXPECT_EQ(registry.gauge("drift_monitor_recal_needed").value(), 1.0);
-  monitor.reset();
-  monitor.publish(registry);
-  EXPECT_EQ(registry.gauge("drift_monitor_samples").value(), 0.0);
-  EXPECT_EQ(registry.gauge("drift_monitor_recal_needed").value(), 0.0);
-}
-
 // ---- The online recalibration scenario (ROADMAP item 3) ----
 
 core::CalibrationResult truth_calibration(const sim::Prototype& proto) {
@@ -127,7 +111,8 @@ cal::OnlineRecalResult run_scenario(bool online) {
   config.duration_s = 1.0;
   config.online = online;
   config.seed = 7;
-  return cal::run_online_recal_session(proto, calibration, config);
+  return cal::run_online_recal_session(proto, calibration, config,
+                                       runtime::Context::isolated());
 }
 
 class OnlineRecalScenarioTest : public ::testing::Test {

@@ -10,6 +10,7 @@
 #include "link/multi_tx.hpp"
 #include "link/session_log.hpp"
 #include "motion/profile.hpp"
+#include "runtime/context.hpp"
 #include "util/units.hpp"
 
 namespace cyclops::link {
@@ -36,8 +37,9 @@ std::vector<TxChain>* MultiTxFixture::chains_ = nullptr;
 TEST_F(MultiTxFixture, BothChainsUsableWithoutOcclusion) {
   const motion::StillMotion profile(
       (*chains_)[0].proto.nominal_rig_pose, 3.0);
-  const MultiTxResult result = run_multi_tx_session(
-      *chains_, profile, MultiTxConfig{}, nullptr);
+  const MultiTxResult result =
+      run_multi_tx_session(*chains_, profile, MultiTxConfig{}, nullptr,
+                           runtime::Context::isolated());
   ASSERT_EQ(result.per_tx_usable_fraction.size(), 2u);
   EXPECT_GT(result.per_tx_usable_fraction[0], 0.95);
   EXPECT_GT(result.per_tx_usable_fraction[1], 0.95);
@@ -57,8 +59,8 @@ TEST_F(MultiTxFixture, HandoverBeatsBestSingleTxUnderOcclusion) {
   };
   MultiTxConfig config;
   config.handover.switch_delay_s = 0.1;
-  const MultiTxResult result =
-      run_multi_tx_session(*chains_, profile, config, occlusion);
+  const MultiTxResult result = run_multi_tx_session(
+      *chains_, profile, config, occlusion, runtime::Context::isolated());
   EXPECT_GT(result.served_fraction, result.best_single_tx_fraction + 0.08);
   EXPECT_GT(result.served_fraction, 0.9);
   EXPECT_GE(result.switches, 2);
@@ -67,8 +69,8 @@ TEST_F(MultiTxFixture, HandoverBeatsBestSingleTxUnderOcclusion) {
 TEST_F(MultiTxFixture, EmptyChainListIsSafe) {
   std::vector<TxChain> none;
   const motion::StillMotion profile(geom::Pose::identity(), 1.0);
-  const MultiTxResult result =
-      run_multi_tx_session(none, profile, MultiTxConfig{}, nullptr);
+  const MultiTxResult result = run_multi_tx_session(
+      none, profile, MultiTxConfig{}, nullptr, runtime::Context::isolated());
   EXPECT_DOUBLE_EQ(result.served_fraction, 0.0);
 }
 
@@ -94,8 +96,8 @@ TEST_F(MultiTxFixture, OnSlotTapMirrorsSessionAccounting) {
                        double power) {
     taps.push_back({t, serving, usable, power});
   };
-  const MultiTxResult result =
-      run_multi_tx_session(*chains_, profile, config, occlusion);
+  const MultiTxResult result = run_multi_tx_session(
+      *chains_, profile, config, occlusion, runtime::Context::isolated());
 
   ASSERT_FALSE(taps.empty());
   std::size_t usable_taps = 0, mid_switch_taps = 0;

@@ -3,12 +3,18 @@
 // every WindowSample field, bit for bit, across linear, angular, and
 // mixed-random motion.  Plus smoke coverage for run_channel_session (a
 // non-FSO phy::Channel on the same core) and run_hetero_session
-// (FSO + mmWave fallback in one scheduler).
+// (FSO + mmWave fallback in one scheduler), which must reduce slot for
+// slot to run_link_simulation when its fallback never wins the handover.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "core/calibration.hpp"
+#include "core/gma_model.hpp"
+#include "core/pointing.hpp"
 #include "link/fso_link.hpp"
 #include "link/hetero_session.hpp"
 #include "link/session_core.hpp"
@@ -18,6 +24,7 @@
 #include "obs/registry.hpp"
 #include "phy/mmwave_channel.hpp"
 #include "phy/wdm_channel.hpp"
+#include "runtime/context.hpp"
 #include "util/units.hpp"
 
 namespace cyclops::link {
@@ -115,7 +122,8 @@ TEST_F(SessionCoreEquivalence, AllThreeMotionProfilesBitExact) {
 // ---- run_channel_session: a non-FSO channel on the same core ----
 
 TEST(ChannelSessionTest, MmWaveStillSessionDeliversPeakRate) {
-  obs::Registry registry;
+  const runtime::Context ctx = runtime::Context::isolated();
+  obs::Registry& registry = ctx.registry();
   phy::MmWaveChannelConfig config;  // AP at (0, 2.2, 0)
   phy::MmWaveChannel channel(config, &registry);
 
@@ -124,8 +132,7 @@ TEST(ChannelSessionTest, MmWaveStillSessionDeliversPeakRate) {
       geom::Pose{geom::Mat3::identity(), {0.0, 1.2, 0.0}}, 1.0);
   ChannelSessionOptions options;
   options.step = 1000;
-  const RunResult result =
-      run_channel_session(channel, profile, options, &registry);
+  const RunResult result = run_channel_session(channel, profile, ctx, options);
 
   EXPECT_DOUBLE_EQ(result.total_up_fraction, 1.0);
   // NEAR, not EQ: avg_rate is an O(slots) float accumulation.
@@ -158,7 +165,8 @@ TEST(ChannelSessionTest, WdmLaneDropoutShowsInWindows) {
   const motion::StillMotion profile(geom::Pose{}, 2.0);
   ChannelSessionOptions options;
   options.step = 1000;
-  const RunResult result = run_channel_session(channel, profile, options);
+  const RunResult result = run_channel_session(
+      channel, profile, runtime::Context::isolated(), options);
 
   ASSERT_EQ(result.windows.size(), 40u);
   EXPECT_NEAR(result.windows.front().throughput_gbps,
@@ -182,8 +190,8 @@ TEST(HeteroSessionTest, OcclusionFailsOverToMmWaveAndBack) {
   phy::MmWaveChannelConfig mm_config;
   mm_config.ap_position =
       rig.proto.nominal_rig_pose.translation() + geom::Vec3{0.0, 1.0, 0.0};
-  obs::Registry registry;
-  phy::MmWaveChannel fallback(mm_config, &registry);
+  const runtime::Context ctx = runtime::Context::isolated();
+  phy::MmWaveChannel fallback(mm_config, &ctx.registry());
 
   const motion::StillMotion profile(rig.proto.nominal_rig_pose, 4.0);
   HeteroConfig config;
@@ -193,7 +201,7 @@ TEST(HeteroSessionTest, OcclusionFailsOverToMmWaveAndBack) {
   };
   SessionLog log;
   const HeteroResult result = run_hetero_session(
-      rig.proto, controller, fallback, profile, config, &log, &registry);
+      rig.proto, controller, fallback, profile, ctx, config, &log);
 
   ASSERT_EQ(result.channels.size(), 2u);
   EXPECT_EQ(result.channels[1].name, "mmwave-60ghz");
@@ -219,8 +227,8 @@ TEST(HeteroSessionTest, CleanRunStaysOnFso) {
   phy::MmWaveChannel fallback{phy::MmWaveChannelConfig{}};
 
   const motion::StillMotion profile(rig.proto.nominal_rig_pose, 1.0);
-  const HeteroResult result =
-      run_hetero_session(rig.proto, controller, fallback, profile);
+  const HeteroResult result = run_hetero_session(
+      rig.proto, controller, fallback, profile, runtime::Context::isolated());
 
   EXPECT_EQ(result.switches, 0);
   EXPECT_DOUBLE_EQ(result.channels[0].serving_fraction, 1.0);
@@ -228,6 +236,89 @@ TEST(HeteroSessionTest, CleanRunStaysOnFso) {
   EXPECT_GT(result.served_fraction, 0.99);
   // FSO at 9.4 Gbps beats the mmWave ceiling the whole way.
   EXPECT_GT(result.avg_rate_gbps, 9.0);
+}
+
+// ---- run_hetero_session reduces to the quantized core ----
+
+/// A fallback that never wins the handover: its margin is -inf, so the
+/// first-best rule keeps FSO serving even through an FSO outage.
+class NeverWinsChannel final : public phy::Channel {
+ public:
+  const phy::ChannelInfo& info() const noexcept override { return info_; }
+  double power_at(const geom::Pose&, util::SimTimeUs) override {
+    return -std::numeric_limits<double>::infinity();
+  }
+  double rate_for(double) const override { return 0.0; }
+  bool step(util::SimTimeUs, double) override { return false; }
+
+ private:
+  phy::ChannelInfo info_{.name = "never-wins"};
+};
+
+core::PointingSolver truth_solver(const sim::Prototype& proto) {
+  return core::PointingSolver(
+      core::GmaModel(proto.tx_galvo_truth).transformed(proto.k_from_tx_gma),
+      core::GmaModel(proto.rx_galvo_truth).transformed(proto.k_from_rx_gma),
+      proto.true_map_tx, proto.true_map_rx);
+}
+
+TEST(HeteroSessionTest, NeverWinningFallbackMatchesQuantizedCoreSlotForSlot) {
+  for (const util::SimTimeUs step : {500, 1000}) {
+    SCOPED_TRACE(step);
+    // Identically seeded 25G rigs: both sessions draw tracker randomness.
+    sim::Prototype core_proto =
+        sim::make_prototype(77, sim::prototype_25g_config());
+    sim::Prototype hetero_proto =
+        sim::make_prototype(77, sim::prototype_25g_config());
+
+    motion::MixedRandomMotion::Config mixed;
+    // Fast enough to outrun the TP loop a few times, long enough (> the
+    // SFP's 2 s re-acquisition) for the link to come back up.
+    mixed.duration_s = 6.0;
+    mixed.linear_speed_sigma = 0.05;
+    mixed.angular_speed_sigma = 0.25;
+    mixed.max_linear_speed = 0.10;
+    mixed.max_angular_speed = 0.50;
+    const motion::MixedRandomMotion profile(core_proto.nominal_rig_pose,
+                                            mixed, util::Rng(5));
+
+    std::vector<std::pair<util::SimTimeUs, bool>> core_slots;
+    SimOptions options;
+    options.step = step;
+    options.on_slot = [&](util::SimTimeUs t, bool up, double) {
+      core_slots.emplace_back(t, up);
+    };
+    core::TpController core_ctl(truth_solver(core_proto), core::TpConfig{});
+    const RunResult core_run =
+        run_link_simulation(core_proto, core_ctl, profile, options);
+
+    std::vector<std::pair<util::SimTimeUs, bool>> hetero_slots;
+    HeteroConfig config;
+    config.step = step;
+    config.on_slot = [&](util::SimTimeUs t, int serving, bool up, double) {
+      EXPECT_EQ(serving, 0) << "fallback won the handover at t=" << t;
+      hetero_slots.emplace_back(t, up);
+    };
+    core::TpController hetero_ctl(truth_solver(hetero_proto),
+                                  core::TpConfig{});
+    NeverWinsChannel fallback;
+    const HeteroResult hetero =
+        run_hetero_session(hetero_proto, hetero_ctl, fallback, profile,
+                           runtime::Context::isolated(), config);
+
+    // The motion must actually drop the link and let it reacquire, or
+    // the pin proves little.
+    int reacquisitions = 0;
+    for (std::size_t i = 1; i < core_slots.size(); ++i) {
+      if (!core_slots[i - 1].second && core_slots[i].second) ++reacquisitions;
+    }
+    ASSERT_LT(core_run.total_up_fraction, 1.0);
+    ASSERT_GE(reacquisitions, 1);
+    EXPECT_EQ(hetero_slots, core_slots);
+    EXPECT_EQ(hetero.realignments, core_run.realignments);
+    EXPECT_EQ(hetero.served_fraction, core_run.total_up_fraction);
+    EXPECT_EQ(hetero.switches, 0);
+  }
 }
 
 }  // namespace

@@ -5,7 +5,12 @@
 // width) lives in tests/fleet_test.cpp.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "event/scheduler.hpp"
@@ -183,6 +188,80 @@ TEST(RunSessionTest, EveryCatalogVariantRuns) {
     EXPECT_GT(report.events, 0u)
         << session::variant_name(spec.variant) << " dispatched no events";
     EXPECT_EQ(report.variant, spec.variant);
+  }
+}
+
+// ---- SessionSpec validation at the make_runner boundary ----
+
+/// make_runner's rejection message for `spec`, or "" when it accepts it.
+std::string rejection(const session::SessionSpec& spec) {
+  try {
+    session::make_runner(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SpecValidationTest, RejectsNonPositiveStep) {
+  for (const util::SimTimeUs step : {0, -1000}) {
+    session::SessionSpec spec;
+    spec.variant = session::Variant::kLink;
+    spec.step_us = step;
+    const std::string message = rejection(spec);
+    // ASSERT: an unvalidated zero step would hang the run below.
+    ASSERT_NE(message.find("step_us"), std::string::npos) << message;
+    EXPECT_NE(message.find(std::to_string(step)), std::string::npos)
+        << message;
+    // The run_session path goes through the same boundary.
+    EXPECT_THROW(session::run_session(spec, session::catalog_factory()),
+                 std::invalid_argument);
+  }
+}
+
+TEST(SpecValidationTest, RejectsNonFiniteOrNegativeDuration) {
+  for (const double duration : {-0.5, std::nan(""),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity()}) {
+    session::SessionSpec spec;
+    spec.variant = session::Variant::kChannel;
+    spec.duration_s = duration;
+    std::ostringstream value;
+    value << duration;
+    const std::string message = rejection(spec);
+    EXPECT_NE(message.find("duration_s"), std::string::npos) << message;
+    EXPECT_NE(message.find(value.str()), std::string::npos) << message;
+  }
+}
+
+TEST(SpecValidationTest, RejectsOutOfRangeVariant) {
+  for (const unsigned raw : {static_cast<unsigned>(session::kVariantCount),
+                             255u}) {
+    session::SessionSpec spec;
+    spec.variant = static_cast<session::Variant>(raw);
+    const std::string message = rejection(spec);
+    EXPECT_NE(message.find("variant"), std::string::npos) << message;
+    EXPECT_NE(message.find(std::to_string(raw)), std::string::npos)
+        << message;
+  }
+}
+
+TEST(SpecValidationTest, ValidSpecsStillRun) {
+  for (std::size_t v = 0; v < session::kVariantCount; ++v) {
+    session::SessionSpec spec;
+    spec.variant = static_cast<session::Variant>(v);
+    spec.seed = 31 + v;
+    spec.duration_s = 0.05;
+    spec.step_us = 500;
+    EXPECT_EQ(rejection(spec), "") << session::variant_name(spec.variant);
+    const session::Report report =
+        session::run_session(spec, session::catalog_factory());
+    EXPECT_GT(report.events, 0u) << session::variant_name(spec.variant);
+    // The boundary values themselves are legal: a zero-length session
+    // and a 1 µs slot.
+    spec.duration_s = 0.0;
+    spec.step_us = 1;
+    EXPECT_EQ(rejection(spec), "") << session::variant_name(spec.variant);
   }
 }
 
