@@ -220,18 +220,26 @@ void CalibrationEngine::step_stage2_fit() {
 }
 
 void CalibrationEngine::make_blind_tx_residuals() {
-  // fit_mapping_blind's phase-A cost, verbatim: the TX beam must pass
-  // within centimeters of every reported VRH position.
-  blind_tx_residuals_ = [this](std::span<const double> p6,
-                               std::vector<double>& r) {
+  // Blind phase A's cost: the TX beam must pass within centimeters of
+  // every reported VRH position.  The candidate poses move the TX model
+  // rigidly and leave theta1 alone, so the tuples' mirror angles are
+  // computed once per cost function.
+  std::vector<galvo::MirrorAngles> angles;
+  angles.reserve(tuples_.size());
+  for (const auto& tuple : tuples_) {
+    angles.push_back(
+        tx_report_->model.angles(tuple.voltages.tx1, tuple.voltages.tx2));
+  }
+  blind_tx_residuals_ = [this, angles = std::move(angles)](
+                            std::span<const double> p6,
+                            std::vector<double>& r) {
     std::array<double, 6> arr{};
     std::copy(p6.begin(), p6.end(), arr.begin());
     const core::GmaModel tx_vr =
         tx_report_->model.transformed(geom::Pose::from_params(arr));
     r.resize(tuples_.size());
     for (std::size_t s = 0; s < tuples_.size(); ++s) {
-      const auto ray =
-          tx_vr.trace(tuples_[s].voltages.tx1, tuples_[s].voltages.tx2);
+      const auto ray = tx_vr.trace(angles[s]);
       r[s] = ray ? geom::line_point_distance(*ray,
                                              tuples_[s].psi.translation())
                  : 2.0;
@@ -253,8 +261,8 @@ void CalibrationEngine::begin_blind() {
 
 void CalibrationEngine::step_blind_a() {
   // One phase-A multi-start: a full (bounded) inner LM solve.  The solve
-  // goes through levenberg_marquardt so its lm_* metrics record exactly
-  // as fit_mapping_blind's did.
+  // goes through levenberg_marquardt, so each one records its lm_*
+  // metrics as a one-shot solve.
   const geom::Vec3 axis =
       geom::Vec3{rng_.normal(), rng_.normal(), rng_.normal()}.normalized();
   const geom::Vec3 rv = axis * rng_.uniform(0.0, 3.1);

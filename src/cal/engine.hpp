@@ -151,7 +151,7 @@ class CalibrationEngine {
   geom::Pose tx_guess_, rx_guess_;
   core::MappingFitReport mapping_;
 
-  // Blind Stage-2 sub-state (fit_mapping_blind's multi-start search).
+  // Blind Stage-2 sub-state (the multi-start search over SO(3)).
   opt::ResidualFn blind_tx_residuals_;
   geom::Vec3 blind_centroid_{};
   int blind_a_ = 0, blind_b_ = 0;

@@ -30,8 +30,10 @@ struct CalibrationConfig {
   opt::LevMarOptions stage1_options;
   opt::LevMarOptions stage2_options;
   /// Self-calibrating install: ignore the manual-measurement guesses and
-  /// solve Stage 2 globally (multi-start over SO(3); see
-  /// fit_mapping_blind).  Slower, needs zero deployment knowledge.
+  /// solve Stage 2 globally (multi-start over SO(3): 60 six-parameter TX
+  /// starts, then up to 12 RX starts with a joint 12-parameter polish; see
+  /// cal::Phase::kStage2BlindA/B).  Slower, needs zero deployment
+  /// knowledge.
   bool blind_stage2 = false;
 };
 

@@ -1,18 +1,26 @@
 #include "core/gma_model.hpp"
 
-#include "geom/mat3.hpp"
-
 namespace cyclops::core {
 
+std::optional<geom::Ray> GmaModel::trace(const galvo::MirrorAngles& angles,
+                                         geom::Vec3* mirror2_normal) const {
+  const geom::Vec3 n2 = prepared_.mirror2.normal(angles.m2);
+  if (mirror2_normal != nullptr) *mirror2_normal = n2;
+  auto ray =
+      galvo::trace_ideal(prepared_, prepared_.mirror1.normal(angles.m1), n2);
+  if (ray && frozen_origin_) ray->origin = *frozen_origin_;
+  return ray;
+}
+
 geom::Plane GmaModel::mirror2_plane(double v2) const {
-  const geom::Mat3 rot =
-      geom::Mat3::rotation(params_.r2, params_.theta1 * v2);
-  return {params_.q2, rot * params_.n2};
+  return {params_.q2,
+          prepared_.mirror2.normal(
+              galvo::MirrorAngle::at(prepared_.theta1 * v2))};
 }
 
 GmaModel GmaModel::with_frozen_origin() const {
   GmaModel frozen = *this;
-  if (const auto at_zero = galvo::trace_ideal(params_, 0.0, 0.0)) {
+  if (const auto at_zero = galvo::trace_ideal(prepared_, angles(0.0, 0.0))) {
     frozen.frozen_origin_ = at_zero->origin;
   }
   return frozen;

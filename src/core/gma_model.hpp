@@ -19,17 +19,27 @@ namespace cyclops::core {
 
 class GmaModel {
  public:
-  explicit GmaModel(galvo::GalvoParams params) : params_(std::move(params)) {}
+  explicit GmaModel(galvo::GalvoParams params)
+      : params_(std::move(params)), prepared_(params_) {}
 
   const galvo::GalvoParams& params() const noexcept { return params_; }
+
+  /// Mirror angles for a voltage pair (for callers that reuse them).
+  galvo::MirrorAngles angles(double v1, double v2) const {
+    return prepared_.angles(v1, v2);
+  }
 
   /// The modeled output beam (p, x⃗).  nullopt only in degenerate
   /// configurations (beam parallel to a mirror plane).
   std::optional<geom::Ray> trace(double v1, double v2) const {
-    auto ray = galvo::trace_ideal(params_, v1, v2);
-    if (ray && frozen_origin_) ray->origin = *frozen_origin_;
-    return ray;
+    return trace(angles(v1, v2));
   }
+
+  /// trace() at precomputed mirror angles.  A non-null `mirror2_normal`
+  /// receives mirror 2's rotated normal (mirror2_plane()'s normal), so a
+  /// caller that needs both pays for that rotation once.
+  std::optional<geom::Ray> trace(const galvo::MirrorAngles& angles,
+                                 geom::Vec3* mirror2_normal = nullptr) const;
 
   /// Mirror-2 plane for the given second-mirror voltage; contains every
   /// beam origin p and Lemma 1's target points tau.
@@ -48,6 +58,8 @@ class GmaModel {
 
  private:
   galvo::GalvoParams params_;
+  /// The G kernel's per-model constants, prepared once per model.
+  galvo::PreparedGalvo prepared_;
   /// When set, trace() reports this fixed origin point.
   std::optional<geom::Vec3> frozen_origin_;
 };

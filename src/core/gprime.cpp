@@ -63,7 +63,8 @@ bool GPrimeSolver::advance(const GmaModel& model, const geom::Vec3& target,
   result.iterations += 1;
 
   const double eps = options_.probe_epsilon_volts;
-  const auto ray0 = model.trace(result.v1, result.v2);
+  const galvo::MirrorAngles at0 = model.angles(result.v1, result.v2);
+  const auto ray0 = model.trace(at0);
   if (!ray0) {
     state.halted = true;
     return false;
@@ -71,9 +72,12 @@ bool GPrimeSolver::advance(const GmaModel& model, const geom::Vec3& target,
   // Plane P: perpendicular to the current beam, through the target.
   const geom::Plane plane{target, ray0->dir};
 
+  // Each probe moves one mirror; the other keeps its angle from ray0.
+  const galvo::MirrorAngles at_eps = model.angles(result.v1 + eps,
+                                                  result.v2 + eps);
   const auto k0 = hit_on_plane(ray0, plane);
-  const auto k1 = hit_on_plane(model.trace(result.v1 + eps, result.v2), plane);
-  const auto k2 = hit_on_plane(model.trace(result.v1, result.v2 + eps), plane);
+  const auto k1 = hit_on_plane(model.trace({at_eps.m1, at0.m2}), plane);
+  const auto k2 = hit_on_plane(model.trace({at0.m1, at_eps.m2}), plane);
   if (!k0 || !k1 || !k2) {
     state.halted = true;
     return false;

@@ -1,7 +1,11 @@
 #include "core/kspace_calibration.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <mutex>
 
 #include "galvo/factory.hpp"
 #include "geom/ray.hpp"
@@ -11,14 +15,52 @@ namespace {
 
 const geom::Plane kBoardPlane{{0, 0, 0}, {0, 0, 1}};
 
-std::optional<geom::Vec3> board_hit(const GmaModel& model, double v1,
-                                    double v2) {
-  const auto ray = model.trace(v1, v2);
+std::optional<geom::Vec3> board_hit(const GmaModel& model,
+                                    const galvo::MirrorAngles& angles) {
+  const auto ray = model.trace(angles);
   if (!ray) return std::nullopt;
   const auto t = geom::intersect(*ray, kBoardPlane, /*forward_only=*/false);
   if (!t) return std::nullopt;
   return ray->at(*t);
 }
+
+/// Every sample's mirror angles at one theta1.  A central-difference
+/// Jacobian leaves theta1 untouched in all but one of its 25 columns, so
+/// the Stage-1 residual keeps the last table and reuses it while theta1's
+/// bits are unchanged.
+struct TrigTable {
+  std::uint64_t theta1_bits = 0;
+  std::vector<galvo::MirrorAngles> angles;
+};
+
+/// The last table, shared by every copy of the residual function and
+/// every pool worker evaluating it.  Tables are immutable once published;
+/// a worker that misses builds its own and publishes it, so a hit and a
+/// miss hand the residual the same bits at any pool width.
+class TrigCache {
+ public:
+  std::shared_ptr<const TrigTable> lookup(
+      const std::vector<BoardSample>& samples, double theta1) {
+    const auto bits = std::bit_cast<std::uint64_t>(theta1);
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (last_ && last_->theta1_bits == bits) return last_;
+    }
+    auto table = std::make_shared<TrigTable>();
+    table->theta1_bits = bits;
+    table->angles.reserve(samples.size());
+    for (const auto& s : samples) {
+      table->angles.push_back(galvo::MirrorAngles::at(theta1, s.v1, s.v2));
+    }
+    const std::lock_guard<std::mutex> lock(mu_);
+    last_ = table;
+    return table;
+  }
+
+ private:
+  std::mutex mu_;
+  std::shared_ptr<const TrigTable> last_;
+};
 
 }  // namespace
 
@@ -75,7 +117,7 @@ std::vector<BoardSample> collect_board_samples(
 }
 
 double board_error(const GmaModel& model, const BoardSample& sample) {
-  const auto hit = board_hit(model, sample.v1, sample.v2);
+  const auto hit = board_hit(model, model.angles(sample.v1, sample.v2));
   if (!hit) return 1.0;  // 1 m penalty for a degenerate trace
   const double dx = hit->x - sample.x;
   const double dy = hit->y - sample.y;
@@ -85,14 +127,16 @@ double board_error(const GmaModel& model, const BoardSample& sample) {
 KSpaceFitProblem make_kspace_problem(const std::vector<BoardSample>& samples,
                                      const GmaModel& initial_guess) {
   KSpaceFitProblem problem;
-  problem.residuals = [&samples](std::span<const double> params,
-                                 std::vector<double>& residuals) {
+  problem.residuals = [&samples, cache = std::make_shared<TrigCache>()](
+                          std::span<const double> params,
+                          std::vector<double>& residuals) {
     std::array<double, galvo::GalvoParams::kParamCount> packed{};
     std::copy(params.begin(), params.end(), packed.begin());
     const GmaModel model(galvo::GalvoParams::unpack(packed));
+    const auto trig = cache->lookup(samples, model.params().theta1);
     residuals.resize(samples.size() * 2);
     for (std::size_t s = 0; s < samples.size(); ++s) {
-      const auto hit = board_hit(model, samples[s].v1, samples[s].v2);
+      const auto hit = board_hit(model, trig->angles[s]);
       if (hit) {
         residuals[2 * s] = hit->x - samples[s].x;
         residuals[2 * s + 1] = hit->y - samples[s].y;

@@ -117,7 +117,8 @@ KSpaceFitReport fit_kspace_model(
 /// parameters — so an iteration-granular driver (opt::LmStepper inside
 /// cal::CalibrationEngine) can run the same least-squares problem one LM
 /// iteration at a time.  The residual function captures `samples` by
-/// reference: the vector must outlive the returned problem.
+/// reference: the vector must outlive the returned problem, unchanged
+/// (the residual caches the samples' mirror angles per theta1).
 struct KSpaceFitProblem {
   opt::ResidualFn residuals;
   std::vector<double> initial;

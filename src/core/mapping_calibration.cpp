@@ -36,15 +36,25 @@ std::pair<geom::Pose, geom::Pose> unpack_maps(std::span<const double> v) {
 
 LemmaPoints lemma_points(const GmaModel& tx_vr, const GmaModel& rx_vr,
                          const sim::Voltages& v) {
+  return lemma_points(tx_vr, rx_vr, tx_vr.angles(v.tx1, v.tx2),
+                      rx_vr.angles(v.rx1, v.rx2));
+}
+
+LemmaPoints lemma_points(const GmaModel& tx_vr, const GmaModel& rx_vr,
+                         const galvo::MirrorAngles& tx,
+                         const galvo::MirrorAngles& rx) {
   LemmaPoints pts;
-  const auto ray_t = tx_vr.trace(v.tx1, v.tx2);
-  const auto ray_r = rx_vr.trace(v.rx1, v.rx2);
+  // Each trace hands back its mirror-2 normal: the opposite beam's target
+  // plane, which the trace has already rotated.
+  geom::Vec3 tx_n2, rx_n2;
+  const auto ray_t = tx_vr.trace(tx, &tx_n2);
+  const auto ray_r = rx_vr.trace(rx, &rx_n2);
   if (!ray_t || !ray_r) return pts;
   pts.p_t = ray_t->origin;
   pts.p_r = ray_r->origin;
 
-  const auto tau_t = hit_on_plane(ray_t, rx_vr.mirror2_plane(v.rx2));
-  const auto tau_r = hit_on_plane(ray_r, tx_vr.mirror2_plane(v.tx2));
+  const auto tau_t = hit_on_plane(ray_t, {rx_vr.params().q2, rx_n2});
+  const auto tau_r = hit_on_plane(ray_r, {tx_vr.params().q2, tx_n2});
   if (!tau_t || !tau_r) return pts;
   pts.tau_t = *tau_t;
   pts.tau_r = *tau_r;
@@ -52,102 +62,25 @@ LemmaPoints lemma_points(const GmaModel& tx_vr, const GmaModel& rx_vr,
   return pts;
 }
 
-MappingFitReport fit_mapping_blind(const GmaModel& tx_kspace,
-                                   const GmaModel& rx_kspace,
-                                   const std::vector<AlignedSample>& samples,
-                                   util::Rng& rng,
-                                   const opt::LevMarOptions& options,
-                                   const runtime::Context& ctx) {
-  // Phase A finds M_tx alone using a geometric fact that needs no RX
-  // model at all: at alignment, the TX beam passes through the headset,
-  // so (in VR-space) the modeled beam must pass within centimeters of
-  // every reported VRH position — a 6-D problem instead of 12-D.
-
-  // Seed the TX translation near the reported-position centroid (the TX
-  // must be within a room of the user).
-  geom::Vec3 centroid{};
-  for (const auto& sample : samples) centroid += sample.psi.translation();
-  if (!samples.empty()) {
-    centroid = centroid / static_cast<double>(samples.size());
-  }
-
-  // Uniform random rotation vector (angle up to pi).
-  const auto random_rotvec = [&rng] {
-    const geom::Vec3 axis =
-        geom::Vec3{rng.normal(), rng.normal(), rng.normal()}.normalized();
-    return axis * rng.uniform(0.0, 3.1);
-  };
-
-  // Phase A: multi-start LM over the 6 TX parameters (rotation drawn
-  // uniformly over SO(3) — the hidden frame can be arbitrarily rotated).
-  const opt::ResidualFn tx_residuals = [&](std::span<const double> p6,
-                                           std::vector<double>& r) {
-    std::array<double, 6> arr{};
-    std::copy(p6.begin(), p6.end(), arr.begin());
-    const GmaModel tx_vr =
-        tx_kspace.transformed(geom::Pose::from_params(arr));
-    r.resize(samples.size());
-    for (std::size_t s = 0; s < samples.size(); ++s) {
-      const auto ray = tx_vr.trace(samples[s].voltages.tx1,
-                                   samples[s].voltages.tx2);
-      r[s] = ray ? geom::line_point_distance(
-                       *ray, samples[s].psi.translation())
-                 : 2.0;
-    }
-  };
-
-  std::vector<double> tx_best(6, 0.0);
-  double tx_best_value = 1e18;
-  for (int start = 0; start < 60; ++start) {
-    const geom::Vec3 rv = random_rotvec();
-    const std::vector<double> x0{
-        rv.x,
-        rv.y,
-        rv.z,
-        centroid.x + rng.normal(0.0, 0.5),
-        centroid.y + rng.normal(0.0, 0.5),
-        centroid.z + rng.normal(0.0, 0.5)};
-    opt::LevMarOptions lm;
-    lm.max_iterations = 60;
-    const auto fit = opt::levenberg_marquardt(tx_residuals, x0, lm, ctx);
-    if (fit.final_cost < tx_best_value) {
-      tx_best_value = fit.final_cost;
-      tx_best = fit.params;
-    }
-  }
-
-  // Phase B: multi-start over the RX rotation (translation starts at 0 —
-  // the RX GMA rides the headset), scoring with the full Lemma-1 cost and
-  // polishing all 12 parameters jointly each time.
-  const auto [tx_seed, ignored] = unpack_maps(std::vector<double>{
-      tx_best[0], tx_best[1], tx_best[2], tx_best[3], tx_best[4], tx_best[5],
-      0, 0, 0, 0, 0, 0});
-  (void)ignored;
-
-  MappingFitReport best_report;
-  double best_value = 1e18;
-  for (int start = 0; start < 12; ++start) {
-    const geom::Vec3 rv = random_rotvec();
-    std::array<double, 6> rx_arr{rv.x, rv.y, rv.z, 0.0, 0.0, 0.0};
-    const geom::Pose rx_seed = geom::Pose::from_params(rx_arr);
-    const MappingFitReport report = fit_mapping(
-        tx_kspace, rx_kspace, samples, tx_seed, rx_seed, options, ctx);
-    if (report.avg_coincidence_m < best_value) {
-      best_value = report.avg_coincidence_m;
-      best_report = report;
-    }
-    if (best_value < 5e-3) break;  // good basin found
-  }
-  return best_report;
-}
-
 MappingFitProblem make_mapping_problem(const GmaModel& tx_kspace,
                                        const GmaModel& rx_kspace,
                                        const std::vector<AlignedSample>& samples,
                                        const geom::Pose& tx_guess,
                                        const geom::Pose& rx_guess) {
+  // The mappings move the models rigidly and leave theta1 alone, so every
+  // sample's mirror angles are fixed for the whole solve.
+  std::vector<galvo::MirrorAngles> tx_angles, rx_angles;
+  tx_angles.reserve(samples.size());
+  rx_angles.reserve(samples.size());
+  for (const auto& sample : samples) {
+    const sim::Voltages& v = sample.voltages;
+    tx_angles.push_back(tx_kspace.angles(v.tx1, v.tx2));
+    rx_angles.push_back(rx_kspace.angles(v.rx1, v.rx2));
+  }
   MappingFitProblem problem;
-  problem.residuals = [&tx_kspace, &rx_kspace, &samples](
+  problem.residuals = [&tx_kspace, &rx_kspace, &samples,
+                       tx_angles = std::move(tx_angles),
+                       rx_angles = std::move(rx_angles)](
                           std::span<const double> params,
                           std::vector<double>& residuals) {
     const auto [map_tx, map_rx] = unpack_maps(params);
@@ -156,7 +89,8 @@ MappingFitProblem make_mapping_problem(const GmaModel& tx_kspace,
     for (std::size_t s = 0; s < samples.size(); ++s) {
       const GmaModel rx_vr =
           rx_kspace.transformed(samples[s].psi * map_rx);
-      const LemmaPoints pts = lemma_points(tx_vr, rx_vr, samples[s].voltages);
+      const LemmaPoints pts =
+          lemma_points(tx_vr, rx_vr, tx_angles[s], rx_angles[s]);
       double* r = residuals.data() + 6 * s;
       if (pts.valid) {
         const geom::Vec3 d1 = pts.tau_r - pts.p_t;

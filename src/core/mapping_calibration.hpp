@@ -21,7 +21,6 @@
 #include "geom/pose.hpp"
 #include "opt/levmar.hpp"
 #include "sim/scene.hpp"
-#include "util/rng.hpp"
 
 namespace cyclops::core {
 
@@ -48,6 +47,12 @@ struct LemmaPoints {
 LemmaPoints lemma_points(const GmaModel& tx_vr, const GmaModel& rx_vr,
                          const sim::Voltages& v);
 
+/// The same at precomputed mirror angles (tx_vr.angles(v.tx1, v.tx2),
+/// rx_vr.angles(v.rx1, v.rx2)), for residuals that reuse them.
+LemmaPoints lemma_points(const GmaModel& tx_vr, const GmaModel& rx_vr,
+                         const galvo::MirrorAngles& tx,
+                         const galvo::MirrorAngles& rx);
+
 struct MappingFitReport {
   geom::Pose map_tx;  ///< Learned K_tx -> VR.
   geom::Pose map_rx;  ///< Learned K_rx -> X-frame.
@@ -62,7 +67,8 @@ struct MappingFitReport {
 /// driver (opt::LmStepper inside cal::CalibrationEngine or the online
 /// recalibrator) can run the same problem one LM iteration at a time.
 /// The residual function captures `tx_kspace`, `rx_kspace`, and `samples`
-/// by reference: all three must outlive the returned problem.
+/// by reference: all three must outlive the returned problem, unchanged
+/// (the samples' mirror angles are computed once, here).
 struct MappingFitProblem {
   opt::ResidualFn residuals;
   std::vector<double> initial;
@@ -89,17 +95,6 @@ MappingFitReport fit_mapping(
     const GmaModel& tx_kspace, const GmaModel& rx_kspace,
     const std::vector<AlignedSample>& samples, const geom::Pose& tx_guess,
     const geom::Pose& rx_guess, const opt::LevMarOptions& options = {},
-    const runtime::Context& ctx = runtime::Context::default_ctx());
-
-/// Blind fit: no manual measurement at all.  Global search (simulated
-/// annealing over the 12 parameters, seeded loosely from the Stage-2
-/// sample geometry) followed by the usual LM polish.  Slower than
-/// fit_mapping but needs zero deployment knowledge — the fully
-/// self-calibrating install.
-MappingFitReport fit_mapping_blind(
-    const GmaModel& tx_kspace, const GmaModel& rx_kspace,
-    const std::vector<AlignedSample>& samples, util::Rng& rng,
-    const opt::LevMarOptions& options = {},
     const runtime::Context& ctx = runtime::Context::default_ctx());
 
 }  // namespace cyclops::core

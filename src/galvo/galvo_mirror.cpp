@@ -44,31 +44,36 @@ geom::Plane GalvoMirror::mirror2_plane(double v2) const {
   return {params_.q2, rot * params_.n2};
 }
 
+PreparedMirror::PreparedMirror(const geom::Vec3& point,
+                               const geom::Vec3& normal,
+                               const geom::Vec3& axis)
+    : q(point), n(normal) {
+  // Mat3::rotation's per-axis work: the norm, the division and the
+  // pairwise products (u.y * u.x == u.x * u.y exactly, so one product
+  // serves both off-diagonal entries).
+  const double len = axis.norm();
+  zero_axis = len == 0.0;
+  if (zero_axis) return;
+  u = axis / len;
+  uxx = u.x * u.x;
+  uyy = u.y * u.y;
+  uzz = u.z * u.z;
+  uxy = u.x * u.y;
+  uxz = u.x * u.z;
+  uyz = u.y * u.z;
+}
+
+PreparedGalvo::PreparedGalvo(const GalvoParams& params)
+    : p0(params.p0),
+      x0(params.x0.normalized()),
+      mirror1(params.q1, params.n1, params.r1),
+      mirror2(params.q2, params.n2, params.r2),
+      theta1(params.theta1) {}
+
 std::optional<geom::Ray> trace_ideal(const GalvoParams& params, double v1,
                                      double v2) {
-  // Mirror intersections here use the *algebraic* (non-forward-only)
-  // ray/plane solution: the closed-form G of §4.1 is a total function of
-  // the voltages, and the learned parameter estimates must stay evaluable
-  // while the optimizer explores (or mildly extrapolates beyond) the
-  // trained region.  The physical device model (GalvoMirror::trace)
-  // enforces real forward propagation and apertures instead.
-  const auto reflect_algebraic =
-      [](const geom::Ray& ray,
-         const geom::Plane& mirror) -> std::optional<geom::Ray> {
-    const auto t = geom::intersect(ray, mirror, /*forward_only=*/false);
-    if (!t) return std::nullopt;
-    const geom::Vec3 n = mirror.normal.normalized();
-    return geom::Ray{ray.at(*t), geom::reflect_dir(ray.dir, n)};
-  };
-
-  const geom::Ray input{params.p0, params.x0.normalized()};
-  const geom::Mat3 rot1 = geom::Mat3::rotation(params.r1, params.theta1 * v1);
-  const geom::Plane m1{params.q1, rot1 * params.n1};
-  const auto mid = reflect_algebraic(input, m1);
-  if (!mid) return std::nullopt;
-  const geom::Mat3 rot2 = geom::Mat3::rotation(params.r2, params.theta1 * v2);
-  const geom::Plane m2{params.q2, rot2 * params.n2};
-  return reflect_algebraic(*mid, m2);
+  const PreparedGalvo galvo(params);
+  return trace_ideal(galvo, galvo.angles(v1, v2));
 }
 
 std::optional<geom::Ray> GalvoMirror::trace(double v1, double v2) const {

@@ -14,9 +14,12 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <optional>
 
+#include "geom/mat3.hpp"
 #include "geom/ray.hpp"
+#include "geom/reflect.hpp"
 #include "geom/vec3.hpp"
 
 namespace cyclops::galvo {
@@ -76,11 +79,130 @@ class GalvoMirror {
   GalvoSpec spec_;
 };
 
+/// One mirror's rotation angle theta1 * v with its cosine and sine, so
+/// callers that hold a voltage fixed across many traces (LM residuals,
+/// G' probes) pay for the trig once.
+struct MirrorAngle {
+  double angle = 0.0;
+  double cos = 1.0;
+  double sin = 0.0;
+
+  static MirrorAngle at(double angle) {
+    return {angle, std::cos(angle), std::sin(angle)};
+  }
+};
+
+/// Both mirrors' angles for one voltage pair.
+struct MirrorAngles {
+  MirrorAngle m1;
+  MirrorAngle m2;
+
+  static MirrorAngles at(double theta1, double v1, double v2) {
+    return {MirrorAngle::at(theta1 * v1), MirrorAngle::at(theta1 * v2)};
+  }
+};
+
+/// One mirror of a PreparedGalvo: its plane point, its zero-voltage normal
+/// and the per-axis terms of Mat3::rotation for its rotation axis.
+struct PreparedMirror {
+  geom::Vec3 q;
+  geom::Vec3 n;
+  geom::Vec3 u;  ///< Unit rotation axis.
+  double uxx = 0.0, uyy = 0.0, uzz = 0.0;
+  double uxy = 0.0, uxz = 0.0, uyz = 0.0;
+  bool zero_axis = false;  ///< |r| == 0: every rotation is the identity.
+
+  PreparedMirror(const geom::Vec3& point, const geom::Vec3& normal,
+                 const geom::Vec3& axis);
+
+  /// The rotated normal; bit-identical to
+  /// `Mat3::rotation(axis, a.angle) * n`, identity shortcut included.
+  geom::Vec3 normal(const MirrorAngle& a) const;
+};
+
+/// The per-GalvoParams constants of the G kernel, hoisted out of every
+/// trace: unit input direction, unit rotation axes, zero-axis flags and
+/// theta1.
+struct PreparedGalvo {
+  geom::Vec3 p0;
+  geom::Vec3 x0;  ///< Unit input direction.
+  PreparedMirror mirror1;
+  PreparedMirror mirror2;
+  double theta1 = 0.0;
+
+  explicit PreparedGalvo(const GalvoParams& params);
+
+  MirrorAngles angles(double v1, double v2) const {
+    return MirrorAngles::at(theta1, v1, v2);
+  }
+};
+
 /// Ideal two-mirror trace with no aperture or voltage-range checks — the
 /// pure §4.1 G function.  Used by the *learned* model (which has no notion
 /// of clear apertures) and shared with the physical device's trace.
+/// A wrapper over the prepared kernel below, which gives the same bits.
 std::optional<geom::Ray> trace_ideal(const GalvoParams& params, double v1,
                                      double v2);
+
+// The kernel is defined inline: it runs tens of millions of times per
+// calibration, and out of line its per-mirror and per-reflection calls
+// cost about a quarter of an install's time.
+
+inline geom::Vec3 PreparedMirror::normal(const MirrorAngle& a) const {
+  // Mat3::rotation's identity shortcut, multiplied out as it was.
+  if (zero_axis || a.angle == 0.0) return geom::Mat3::identity() * n;
+  // The Rodrigues entries and the row-by-row product, term for term in
+  // Mat3::rotation's and Mat3::operator*'s order.
+  const double c = a.cos;
+  const double s = a.sin;
+  const double t = 1.0 - c;
+  const double m00 = c + uxx * t;
+  const double m01 = uxy * t - u.z * s;
+  const double m02 = uxz * t + u.y * s;
+  const double m10 = uxy * t + u.z * s;
+  const double m11 = c + uyy * t;
+  const double m12 = uyz * t - u.x * s;
+  const double m20 = uxz * t - u.y * s;
+  const double m21 = uyz * t + u.x * s;
+  const double m22 = c + uzz * t;
+  return {m00 * n.x + m01 * n.y + m02 * n.z,
+          m10 * n.x + m11 * n.y + m12 * n.z,
+          m20 * n.x + m21 * n.y + m22 * n.z};
+}
+
+/// The G kernel given both mirrors' rotated normals (as returned by
+/// PreparedMirror::normal), for callers that also need mirror 2's plane.
+inline std::optional<geom::Ray> trace_ideal(const PreparedGalvo& galvo,
+                                            const geom::Vec3& mirror1_normal,
+                                            const geom::Vec3& mirror2_normal) {
+  // Mirror intersections here use the *algebraic* (non-forward-only)
+  // ray/plane solution: the closed-form G of §4.1 is a total function of
+  // the voltages, and the learned parameter estimates must stay evaluable
+  // while the optimizer explores (or mildly extrapolates beyond) the
+  // trained region.  The physical device model (GalvoMirror::trace)
+  // enforces real forward propagation and apertures instead.
+  const auto reflect_algebraic =
+      [](const geom::Ray& ray,
+         const geom::Plane& mirror) -> std::optional<geom::Ray> {
+    const auto t = geom::intersect(ray, mirror, /*forward_only=*/false);
+    if (!t) return std::nullopt;
+    const geom::Vec3 n = mirror.normal.normalized();
+    return geom::Ray{ray.at(*t), geom::reflect_dir(ray.dir, n)};
+  };
+
+  const geom::Ray input{galvo.p0, galvo.x0};
+  const auto mid =
+      reflect_algebraic(input, {galvo.mirror1.q, mirror1_normal});
+  if (!mid) return std::nullopt;
+  return reflect_algebraic(*mid, {galvo.mirror2.q, mirror2_normal});
+}
+
+/// The G kernel at precomputed mirror angles.
+inline std::optional<geom::Ray> trace_ideal(const PreparedGalvo& galvo,
+                                            const MirrorAngles& angles) {
+  return trace_ideal(galvo, galvo.mirror1.normal(angles.m1),
+                     galvo.mirror2.normal(angles.m2));
+}
 
 /// DAQ between the controller and the galvo servos: quantizes commanded
 /// voltages and contributes most of the 1-2 ms pointing latency (§5.2).

@@ -53,10 +53,10 @@ struct MultiTxState {
   util::SimTimeUs duration = 0;
   util::SimTimeUs lag = 0;
   util::SimTimeUs next_report = 0;
-  std::vector<std::optional<core::PendingCommand>> pending;
-  std::vector<event::Timer> apply_timers;
-  std::vector<int> usable;
-  std::vector<double> powers;
+  std::vector<std::optional<core::PendingCommand>> pending{};
+  std::vector<event::Timer> apply_timers{};
+  std::vector<int> usable{};
+  std::vector<double> powers{};
   int slots = 0;
   int served = 0;
 };

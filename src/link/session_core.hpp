@@ -202,13 +202,13 @@ struct SessionState {
   SessionMetrics metrics;
   phy::FsoChannel& channel;
 
-  std::deque<core::PendingCommand> pending;
+  std::deque<core::PendingCommand> pending{};
   util::SimTimeUs duration = 0;
   /// Next grid-quantized report time (steer_quantized only).
   util::SimTimeUs next_report = 0;
 
-  RunResult result;
-  WindowTally tally;
+  RunResult result{};
+  WindowTally tally{};
 
   // Link-down span tracking for the session_link_off_us histogram
   // (-1 until the first sampled slot fixes the initial state).

@@ -5,14 +5,19 @@
 namespace cyclops::opt {
 
 Matrix normal_matrix(const Matrix& a) {
-  Matrix n(a.cols(), a.cols());
-  for (std::size_t i = 0; i < a.cols(); ++i) {
-    for (std::size_t j = i; j < a.cols(); ++j) {
-      double sum = 0.0;
-      for (std::size_t k = 0; k < a.rows(); ++k) sum += a(k, i) * a(k, j);
-      n(i, j) = sum;
-      n(j, i) = sum;
+  // Row by row, so A is read in storage order.  Every upper-triangle entry
+  // still sums its products from 0.0 in ascending k, so the result is the
+  // same bits as the column-pair dot products.
+  const std::size_t cols = a.cols();
+  Matrix n(cols, cols);
+  for (std::size_t k = 0; k < a.rows(); ++k) {
+    for (std::size_t i = 0; i < cols; ++i) {
+      const double aki = a(k, i);
+      for (std::size_t j = i; j < cols; ++j) n(i, j) += aki * a(k, j);
     }
+  }
+  for (std::size_t i = 0; i < cols; ++i) {
+    for (std::size_t j = i + 1; j < cols; ++j) n(j, i) = n(i, j);
   }
   return n;
 }

@@ -8,41 +8,22 @@ TEST(BlindMappingTest, SelfCalibratesWithoutManualMeasurement) {
   sim::Prototype proto = sim::make_prototype(42, sim::prototype_10g_config());
   util::Rng rng(7);
 
-  // Stage 1 as usual.
-  const galvo::GalvoSpec spec = galvo::gvs102_spec();
-  const GmaModel guess = nominal_kspace_guess(proto.config.board_distance);
-  const auto tx_samples = collect_board_samples(
-      galvo::GalvoMirror(proto.tx_galvo_truth, spec), proto.k_from_tx_gma,
-      BoardConfig{}, rng);
-  const auto rx_samples = collect_board_samples(
-      galvo::GalvoMirror(proto.rx_galvo_truth, spec), proto.k_from_rx_gma,
-      BoardConfig{}, rng);
-  const auto tx_fit = fit_kspace_model(tx_samples, guess);
-  const auto rx_fit = fit_kspace_model(rx_samples, guess);
+  // The full install with a blind Stage 2: the manual guesses are drawn
+  // but never used; the mapping comes from the multi-start search alone.
+  CalibrationConfig config;
+  config.stage2_samples = 25;
+  config.pose_position_extent = 0.18;
+  config.pose_angle_extent = 0.10;
+  config.blind_stage2 = true;
+  const CalibrationResult calib = calibrate_prototype(proto, config, rng);
+  ASSERT_GE(calib.stage2_samples.size(), 20u);
 
-  // Stage-2 tuples as usual.
-  ExhaustiveAligner aligner;
-  std::vector<AlignedSample> tuples;
-  sim::Voltages hint{};
-  for (int i = 0; i < 25; ++i) {
-    const geom::Pose pose =
-        random_rig_pose(proto.nominal_rig_pose, 0.18, 0.10, rng);
-    proto.scene.set_rig_pose(pose);
-    const AlignResult aligned = aligner.align(proto.scene, hint);
-    if (!aligned.converged()) continue;
-    hint = aligned.voltages;
-    tuples.push_back({aligned.voltages, proto.tracker.report(0, pose).pose});
-  }
-  ASSERT_GE(tuples.size(), 20u);
-
-  // Blind fit: NO manual guesses at all.
-  const MappingFitReport mapping =
-      fit_mapping_blind(tx_fit.model, rx_fit.model, tuples, rng);
+  const MappingFitReport& mapping = calib.mapping;
   EXPECT_LT(mapping.avg_coincidence_m, 20e-3);
 
   // The resulting pointing must bring the link up at a fresh pose.
-  PointingSolver solver(tx_fit.model, rx_fit.model, mapping.map_tx,
-                        mapping.map_rx, PointingOptions{});
+  PointingSolver solver(calib.tx_stage1.model, calib.rx_stage1.model,
+                        mapping.map_tx, mapping.map_rx, PointingOptions{});
   proto.scene.set_rig_pose(proto.nominal_rig_pose);
   const geom::Pose psi =
       proto.tracker.report(0, proto.nominal_rig_pose).pose;

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "core/gma_model.hpp"
 #include "galvo/factory.hpp"
 #include "galvo/galvo_mirror.hpp"
 #include "galvo/gma.hpp"
+#include "geom/mat3.hpp"
+#include "geom/reflect.hpp"
 #include "optics/beam.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -245,6 +249,195 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{2.0, 2.0}, std::pair{-3.0, 1.0},
                       std::pair{4.0, -4.0}, std::pair{-5.0, -5.0},
                       std::pair{6.0, 2.0}, std::pair{0.5, -0.5}));
+
+// ---- prepared G kernel vs the unprepared composition ----
+
+// Mat3::rotation and trace_ideal exactly as they were before the prepared
+// kernel: a Rodrigues matrix rebuilt (sqrt, divisions, trig) for every
+// mirror of every trace.  The kernel must reproduce them bit for bit.
+geom::Mat3 oracle_rotation(const geom::Vec3& axis, double angle) {
+  const double n = axis.norm();
+  if (n == 0.0 || angle == 0.0) return geom::Mat3::identity();
+  const geom::Vec3 u = axis / n;
+  const double c = std::cos(angle);
+  const double s = std::sin(angle);
+  const double t = 1.0 - c;
+  geom::Mat3 r;
+  r.m[0][0] = c + u.x * u.x * t;
+  r.m[0][1] = u.x * u.y * t - u.z * s;
+  r.m[0][2] = u.x * u.z * t + u.y * s;
+  r.m[1][0] = u.y * u.x * t + u.z * s;
+  r.m[1][1] = c + u.y * u.y * t;
+  r.m[1][2] = u.y * u.z * t - u.x * s;
+  r.m[2][0] = u.z * u.x * t - u.y * s;
+  r.m[2][1] = u.z * u.y * t + u.x * s;
+  r.m[2][2] = c + u.z * u.z * t;
+  return r;
+}
+
+std::optional<geom::Ray> oracle_trace_ideal(const GalvoParams& params,
+                                            double v1, double v2) {
+  const auto reflect_algebraic =
+      [](const geom::Ray& ray,
+         const geom::Plane& mirror) -> std::optional<geom::Ray> {
+    const auto t = geom::intersect(ray, mirror, /*forward_only=*/false);
+    if (!t) return std::nullopt;
+    const geom::Vec3 n = mirror.normal.normalized();
+    return geom::Ray{ray.at(*t), geom::reflect_dir(ray.dir, n)};
+  };
+  const geom::Ray input{params.p0, params.x0.normalized()};
+  const geom::Mat3 rot1 = oracle_rotation(params.r1, params.theta1 * v1);
+  const geom::Plane m1{params.q1, rot1 * params.n1};
+  const auto mid = reflect_algebraic(input, m1);
+  if (!mid) return std::nullopt;
+  const geom::Mat3 rot2 = oracle_rotation(params.r2, params.theta1 * v2);
+  const geom::Plane m2{params.q2, rot2 * params.n2};
+  return reflect_algebraic(*mid, m2);
+}
+
+bool same_bits(const geom::Vec3& a, const geom::Vec3& b) {
+  return std::memcmp(&a, &b, sizeof(geom::Vec3)) == 0;
+}
+
+void expect_same_trace(const std::optional<geom::Ray>& oracle,
+                       const std::optional<geom::Ray>& kernel) {
+  ASSERT_EQ(oracle.has_value(), kernel.has_value());
+  if (!oracle) return;
+  EXPECT_TRUE(same_bits(oracle->origin, kernel->origin))
+      << oracle->origin << " vs " << kernel->origin;
+  EXPECT_TRUE(same_bits(oracle->dir, kernel->dir))
+      << oracle->dir << " vs " << kernel->dir;
+}
+
+geom::Vec3 random_vec(util::Rng& rng, double scale) {
+  return {rng.uniform(-scale, scale), rng.uniform(-scale, scale),
+          rng.uniform(-scale, scale)};
+}
+
+/// Half manufactured units, half arbitrary geometry with non-unit
+/// directions (the learned model never normalizes them).
+GalvoParams random_params(util::Rng& rng, int i) {
+  if (i % 2 == 0) return perturbed_params(nominal_params(), {}, rng);
+  GalvoParams p;
+  p.p0 = random_vec(rng, 0.1);
+  p.x0 = random_vec(rng, 2.0);
+  p.n1 = random_vec(rng, 2.0);
+  p.q1 = random_vec(rng, 0.1);
+  p.r1 = random_vec(rng, 2.0);
+  p.n2 = random_vec(rng, 2.0);
+  p.q2 = random_vec(rng, 0.1);
+  p.r2 = random_vec(rng, 2.0);
+  p.theta1 = rng.uniform(-0.05, 0.05);
+  return p;
+}
+
+TEST(PreparedKernelTest, BitIdenticalToUnpreparedTrace) {
+  util::Rng rng(2022);
+  for (int i = 0; i < 400; ++i) {
+    const GalvoParams params = random_params(rng, i);
+    const PreparedGalvo prepared(params);
+    for (int k = 0; k < 10; ++k) {
+      const double v1 = rng.uniform(-10.0, 10.0);
+      const double v2 = rng.uniform(-10.0, 10.0);
+      const auto oracle = oracle_trace_ideal(params, v1, v2);
+      expect_same_trace(oracle, trace_ideal(params, v1, v2));
+      expect_same_trace(oracle, trace_ideal(prepared, prepared.angles(v1, v2)));
+    }
+  }
+}
+
+TEST(PreparedKernelTest, IdentityShortcutsMatch) {
+  util::Rng rng(7);
+  for (int i = 0; i < 50; ++i) {
+    GalvoParams params = random_params(rng, i);
+    const double v = rng.uniform(-10.0, 10.0);
+    // v == 0 on either mirror, and on both.
+    expect_same_trace(oracle_trace_ideal(params, 0.0, v),
+                      trace_ideal(params, 0.0, v));
+    expect_same_trace(oracle_trace_ideal(params, v, 0.0),
+                      trace_ideal(params, v, 0.0));
+    expect_same_trace(oracle_trace_ideal(params, 0.0, 0.0),
+                      trace_ideal(params, 0.0, 0.0));
+    // theta1 == 0: both rotations are the identity at any voltage.
+    GalvoParams still = params;
+    still.theta1 = 0.0;
+    expect_same_trace(oracle_trace_ideal(still, v, -v),
+                      trace_ideal(still, v, -v));
+    // A zero rotation axis on either mirror.
+    GalvoParams no_axis = params;
+    no_axis.r1 = {0.0, 0.0, 0.0};
+    expect_same_trace(oracle_trace_ideal(no_axis, v, v),
+                      trace_ideal(no_axis, v, v));
+    no_axis = params;
+    no_axis.r2 = {0.0, 0.0, 0.0};
+    expect_same_trace(oracle_trace_ideal(no_axis, v, v),
+                      trace_ideal(no_axis, v, v));
+  }
+  // Negative zeros survive (or not) exactly as the identity matrix
+  // product leaves them.  At angle 0 a Rodrigues matrix has signed-zero
+  // off-diagonals where the identity has +0: with this axis and normal
+  // the x component would come out -0 instead of +0.
+  const PreparedMirror mirror({0.0, 0.0, 0.0}, {-0.0, 0.6, -0.8},
+                              {1.0, -1.0, 1.0});
+  EXPECT_TRUE(same_bits(mirror.normal(MirrorAngle::at(0.0)),
+                        oracle_rotation({1.0, -1.0, 1.0}, 0.0) *
+                            geom::Vec3{-0.0, 0.6, -0.8}));
+  GalvoParams signed_zeros = nominal_params();
+  signed_zeros.n1 = {-0.0, signed_zeros.n1.y, signed_zeros.n1.z};
+  signed_zeros.n2 = {signed_zeros.n2.x, -0.0, signed_zeros.n2.z};
+  expect_same_trace(oracle_trace_ideal(signed_zeros, 0.0, 0.0),
+                    trace_ideal(signed_zeros, 0.0, 0.0));
+}
+
+TEST(PreparedKernelTest, BeamParallelToMirrorIsNulloptOnBothSides) {
+  GalvoParams params = nominal_params();
+  // Beam along +x, mirror-1 normal along +y: the beam runs in the plane.
+  params.x0 = {1.0, 0.0, 0.0};
+  params.n1 = {0.0, 1.0, 0.0};
+  const auto oracle = oracle_trace_ideal(params, 0.0, 2.0);
+  EXPECT_FALSE(oracle.has_value());
+  expect_same_trace(oracle, trace_ideal(params, 0.0, 2.0));
+
+  // Mirror 2 edge-on to the beam mirror 1 reflects (at v1 = 0, with a
+  // zero mirror-2 axis so the normal stays put at any v2).
+  GalvoParams second = nominal_params();
+  second.n2 = geom::any_orthogonal(
+      geom::reflect_dir(second.x0.normalized(), second.n1.normalized()));
+  second.r2 = {0.0, 0.0, 0.0};
+  const auto edge_on = oracle_trace_ideal(second, 0.0, 1.0);
+  EXPECT_FALSE(edge_on.has_value());
+  expect_same_trace(edge_on, trace_ideal(second, 0.0, 1.0));
+}
+
+TEST(PreparedKernelTest, GmaModelMatchesOracle) {
+  util::Rng rng(11);
+  for (int i = 0; i < 100; ++i) {
+    const core::GmaModel model(random_params(rng, i));
+    const geom::Vec3 axis = random_vec(rng, 1.0);
+    const geom::Pose map{geom::Mat3::rotation(axis, rng.uniform(-3.0, 3.0)),
+                         random_vec(rng, 2.0)};
+    const core::GmaModel moved = model.transformed(map);
+    for (int k = 0; k < 5; ++k) {
+      const double v1 = rng.uniform(-10.0, 10.0);
+      const double v2 = rng.uniform(-10.0, 10.0);
+      expect_same_trace(oracle_trace_ideal(model.params(), v1, v2),
+                        model.trace(v1, v2));
+      expect_same_trace(oracle_trace_ideal(moved.params(), v1, v2),
+                        moved.trace(v1, v2));
+
+      const GalvoParams& p = moved.params();
+      const geom::Vec3 oracle_n2 =
+          oracle_rotation(p.r2, p.theta1 * v2) * p.n2;
+      const geom::Plane plane = moved.mirror2_plane(v2);
+      EXPECT_TRUE(same_bits(plane.point, p.q2));
+      EXPECT_TRUE(same_bits(plane.normal, oracle_n2));
+      // The trace hands back the same mirror-2 normal it reflected off.
+      geom::Vec3 traced_n2;
+      moved.trace(moved.angles(v1, v2), &traced_n2);
+      EXPECT_TRUE(same_bits(traced_n2, oracle_n2));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace cyclops::galvo

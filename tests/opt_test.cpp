@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "opt/levmar.hpp"
 #include "opt/linalg.hpp"
@@ -90,6 +92,53 @@ TEST(LinAlgTest, RandomSpdSystems) {
       double sum = 0.0;
       for (std::size_t j = 0; j < n; ++j) sum += m(i, j) * x[j];
       EXPECT_NEAR(sum, b[i], 1e-9);
+    }
+  }
+}
+
+// normal_matrix as it was before it accumulated row by row: one dot
+// product per upper-triangle entry.  The row-order version must give the
+// same bits.
+Matrix oracle_normal_matrix(const Matrix& a) {
+  Matrix n(a.cols(), a.cols());
+  for (std::size_t i = 0; i < a.cols(); ++i) {
+    for (std::size_t j = i; j < a.cols(); ++j) {
+      double sum = 0.0;
+      for (std::size_t k = 0; k < a.rows(); ++k) sum += a(k, i) * a(k, j);
+      n(i, j) = sum;
+      n(j, i) = sum;
+    }
+  }
+  return n;
+}
+
+TEST(LinAlgTest, NormalMatrixBitIdenticalToDotProducts) {
+  util::Rng rng(2022);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {0, 3}, {0, 0}, {1, 1}, {5, 1}, {1, 6}, {7, 4}, {532, 25}, {180, 12}};
+  for (const auto& [rows, cols] : shapes) {
+    for (int trial = 0; trial < 3; ++trial) {
+      Matrix a(rows, cols);
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+          // Wide magnitudes and signs, so a reordered sum would round
+          // differently.
+          a(i, j) = rng.normal() * std::pow(10.0, rng.uniform(-8.0, 8.0));
+        }
+      }
+      const Matrix got = normal_matrix(a);
+      const Matrix want = oracle_normal_matrix(a);
+      ASSERT_EQ(got.rows(), cols);
+      ASSERT_EQ(got.cols(), cols);
+      for (std::size_t i = 0; i < cols; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+          const double g = got(i, j);
+          const double w = want(i, j);
+          EXPECT_EQ(std::memcmp(&g, &w, sizeof(double)), 0)
+              << rows << "x" << cols << " entry (" << i << ", " << j
+              << "): " << g << " vs " << w;
+        }
+      }
     }
   }
 }
