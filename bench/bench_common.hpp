@@ -68,7 +68,7 @@ using LinkRunFn = link::RunResult (*)(sim::Prototype&, core::TpController&,
 /// The §5.3 protocol: one full stroke per speed, starting from an aligned
 /// link each time (the paper pauses to re-acquire after every loss).
 /// `run` is the closed loop — the event engine by default; fig13 also
-/// passes link::run_link_simulation_fixed_step and asserts bitwise-equal
+/// passes the fixed-step oracle (tests/oracle/) and asserts bitwise-equal
 /// output.
 std::vector<SpeedSweepRow> stroke_speed_sweep(
     CalibratedRig& rig, StrokeKind kind, const std::vector<double>& speeds,

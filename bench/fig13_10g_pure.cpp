@@ -19,6 +19,7 @@
 #include <cstdlib>
 
 #include "bench_common.hpp"
+#include "oracle/fixed_step_link.hpp"
 #include "util/units.hpp"
 
 using namespace cyclops;

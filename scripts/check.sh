@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The full local gate, ten stages back to back:
+# The full local gate, eleven stages back to back:
 #   1. release       — configure, build, and run the whole suite
 #                      (fast + ctx + slow + session + fleet labels).
 #   2. perf smoke    — fig16 on a 50-trace subset; fails if the event
@@ -45,7 +45,10 @@
 #                      green.
 #  10. perfbench tests — the benchmark harness's own Python unit tests
 #                      (output checks, tails, self times); no build.
-# Any failure stops the script (set -e); a clean exit means all ten
+#  11. asan-fast     — AddressSanitizer + UndefinedBehaviorSanitizer
+#                      (CYCLOPS_SANITIZE=address; any UB report aborts)
+#                      over the same quick-gate labels.
+# Any failure stops the script (set -e); a clean exit means all eleven
 # gates passed.  Run from the repository root:  ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -57,12 +60,12 @@ cd "$(dirname "$0")/.."
 # best-of-2 precisely so this single-shot gate is stable.
 PERF_SPEEDUP_FLOOR="1.0"
 
-echo "== [1/10] release: configure + build + full test suite =="
+echo "== [1/11] release: configure + build + full test suite =="
 cmake --preset release
 cmake --build --preset release -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-echo "== [2/10] perf smoke: fig16 50-trace subset, speedup floor ${PERF_SPEEDUP_FLOOR} =="
+echo "== [2/11] perf smoke: fig16 50-trace subset, speedup floor ${PERF_SPEEDUP_FLOOR} =="
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "${smoke_dir}"' EXIT
 (cd "${smoke_dir}" && "${OLDPWD}/build/bench/fig16_trace_cdf" 50 > fig16_smoke.log)
@@ -80,7 +83,7 @@ awk -v s="${speedup}" -v floor="${PERF_SPEEDUP_FLOOR}" \
 # nearly linearly; 2x at >= 4 cores leaves generous headroom.
 PARALLEL_SPEEDUP_FLOOR="2.0"
 if [ "$(nproc)" -ge 4 ]; then
-  echo "== [3/10] parallel scaling: fig16 smoke on $(nproc) threads, speedup floor ${PARALLEL_SPEEDUP_FLOOR} =="
+  echo "== [3/11] parallel scaling: fig16 smoke on $(nproc) threads, speedup floor ${PARALLEL_SPEEDUP_FLOOR} =="
   (cd "${smoke_dir}" && CYCLOPS_THREADS="$(nproc)" \
     "${OLDPWD}/build/bench/fig16_trace_cdf" 50 > fig16_parallel.log)
   par="$(sed -n 's/.*"parallel_speedup": \([0-9.eE+-]*\).*/\1/p' \
@@ -92,10 +95,10 @@ if [ "$(nproc)" -ge 4 ]; then
     exit 1
   }
 else
-  echo "== [3/10] parallel scaling: SKIPPED ($(nproc) core(s) < 4 — the 2x floor needs >= 4) =="
+  echo "== [3/11] parallel scaling: SKIPPED ($(nproc) core(s) < 4 — the 2x floor needs >= 4) =="
 fi
 
-echo "== [4/10] stream smoke: 50-trace subset, torn frames + freeze-rate gates =="
+echo "== [4/11] stream smoke: 50-trace subset, torn frames + freeze-rate gates =="
 # The adaptive controller's freeze rate on the trace library must stay
 # under this ceiling (freezes per minute; the full run sits around 6 —
 # see BENCH_stream.json).  The binary itself additionally hard-fails on
@@ -116,7 +119,7 @@ awk -v f="${freeze}" -v c="${STREAM_FREEZE_CEILING}"   'BEGIN { exit !(f + 0 <= 
   exit 1
 }
 
-echo "== [5/10] arena smoke: 6-second subset, duty + migration + SLA gates =="
+echo "== [5/11] arena smoke: 6-second subset, duty + migration + SLA gates =="
 # Capacity floor for the predictive policy at 4 TXs on the 6 s smoke run
 # (fraction of the 16 offered headsets meeting their SLA; the full 30 s
 # run sits higher — see BENCH_arena.json).  The binary exits non-zero on
@@ -144,7 +147,7 @@ awk -v s="${sla}" -v floor="${ARENA_SLA_FLOOR}" \
   exit 1
 }
 
-echo "== [6/10] fleet smoke: 1000 mixed sessions, reconciliation + throughput gates =="
+echo "== [6/11] fleet smoke: 1000 mixed sessions, reconciliation + throughput gates =="
 # Sessions/sec floor for the 1k-session smoke fleet.  The reference
 # 1-core box sustains ~1500 sessions/s on the catalog mix
 # (BENCH_fleet.json); the floor catches an order-of-magnitude
@@ -169,7 +172,7 @@ awk -v s="${sps}" -v floor="${FLEET_SESSIONS_PER_SEC_FLOOR}" \
   exit 1
 }
 
-echo "== [7/10] recal smoke: 1-second drift session, refit-without-outage gates =="
+echo "== [7/11] recal smoke: 1-second drift session, refit-without-outage gates =="
 # bench/online_recal self-gates: >= 1 refit, refit_down_windows == 0,
 # margin_recovered >= 0.9 (the full 2 s run sits around 0.97 — see
 # BENCH_recal.json).  Re-reading the JSON keeps the recovery number
@@ -181,18 +184,23 @@ refit_down="$(sed -n 's/.*"refit_down_windows": \([0-9.eE+-]*\).*/\1/p' \
   "${smoke_dir}/BENCH_recal_smoke.json")"
 echo "recal smoke: margin_recovered=${recovered}, refit_down_windows=${refit_down}"
 
-echo "== [8/10] tsan: quick gate (fast|ctx|phy|stream|arena|session|cal) + fleet determinism =="
+echo "== [8/11] tsan: quick gate (fast|ctx|phy|stream|arena|session|cal) + fleet determinism =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)"
 ctest --preset tsan-fast
 ctest --preset tsan-fleet
 
-echo "== [9/10] obs-off-fast: telemetry compiled out, quick-gate labels =="
+echo "== [9/11] obs-off-fast: telemetry compiled out, quick-gate labels =="
 cmake --preset obs-off
 cmake --build --preset obs-off -j "$(nproc)"
 ctest --preset obs-off-fast
 
-echo "== [10/10] perfbench tests: harness unit tests =="
+echo "== [10/11] perfbench tests: harness unit tests =="
 python3 -m unittest discover -s perfbench/tests
+
+echo "== [11/11] asan-fast: ASan + UBSan, quick-gate labels =="
+cmake --preset asan
+cmake --build --preset asan -j "$(nproc)"
+ctest --preset asan-fast
 
 echo "== all gates passed =="

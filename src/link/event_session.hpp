@@ -56,9 +56,10 @@ RunResult run_link_session_events(sim::Prototype& proto,
                                   SessionLog* log = nullptr,
                                   EventSessionStats* stats = nullptr);
 
-/// Event-driven handover control.  Decision rule identical to
-/// HandoverManager::step (hysteresis + drop threshold, first-best wins
-/// ties), but the switch completion is a cancellable Timer: with
+/// Event-driven handover control.  Decision rule: hysteresis + drop
+/// threshold, first-best wins ties (pinned slot for slot against the
+/// slot-polled oracle in tests/oracle/).  The switch completion is a
+/// cancellable Timer: with
 /// HandoverConfig::cancel_on_reacquire set, a drop-triggered switch is
 /// abandoned if the old TX recovers before the timer fires.  The serving
 /// TX commits only when the timer dispatches, at its exact time.
@@ -89,8 +90,7 @@ class HandoverProcess final : public event::Process {
     active_ = tx;
   }
   bool switching() const noexcept { return switch_pending_; }
-  /// Switches that took (or will take) effect: started minus cancelled —
-  /// matches HandoverManager::switches() when nothing is cancelled.
+  /// Switches that took (or will take) effect: started minus cancelled.
   int switches() const noexcept { return started_ - cancelled_; }
   int started() const noexcept { return started_; }
   int cancelled_switches() const noexcept { return cancelled_; }

@@ -4,10 +4,10 @@
 //
 // run_link_simulation runs the unified session core on event::Scheduler
 // (link/session_core): slots between report boundaries are coalesced into
-// one dispatch, the per-slot arithmetic is the oracle's verbatim.
-// run_link_simulation_fixed_step is the original 0.5 ms loop, kept as the
-// equivalence oracle.  Per-window output is exactly equal (enforced in
-// tests/session_core_test and bench/fig13).
+// one dispatch, the per-slot arithmetic is the original 0.5 ms loop's
+// verbatim.  That loop is kept as the equivalence oracle in tests/oracle/;
+// per-window output is exactly equal (enforced in tests/session_core_test
+// and bench/fig13).
 #pragma once
 
 #include <functional>
@@ -70,12 +70,5 @@ RunResult run_link_simulation(sim::Prototype& proto,
                               core::TpController& controller,
                               const motion::MotionProfile& profile,
                               const SimOptions& options = {});
-
-/// The fixed-step oracle: same signature, same output as
-/// run_link_simulation.
-RunResult run_link_simulation_fixed_step(sim::Prototype& proto,
-                                         core::TpController& controller,
-                                         const motion::MotionProfile& profile,
-                                         const SimOptions& options = {});
 
 }  // namespace cyclops::link

@@ -6,7 +6,7 @@
 //   * run_link_simulation (quantized timing discipline: reports land on
 //     the physics grid and slots between report boundaries coalesce into
 //     one dispatch, so the per-window output is bit-identical to the
-//     fixed-step oracle run_link_simulation_fixed_step),
+//     fixed-step 0.5 ms loop kept as the oracle in tests/oracle/),
 //   * run_link_session_events (exact timing discipline: jittered capture
 //     times and DAQ+settle applies at their exact microseconds — agrees
 //     closely but deliberately not bit-for-bit),

@@ -17,8 +17,9 @@
 // run concurrently in one process without sharing (or corrupting) each
 // other's metrics, RNG streams, pool, or clock: give each session its own
 // isolated context and its outputs and exported metrics are bit-identical
-// to running it alone (link::run_concurrent_sessions proves this in
-// tests; see DESIGN.md §11).  Concurrent sessions never share
+// to running it alone (session::run_fleet gives every session one;
+// tests/concurrent_session_test and tests/fleet_test prove it; see
+// DESIGN.md §11).  Concurrent sessions never share
 // default_ctx(): its clock is shared.
 #pragma once
 

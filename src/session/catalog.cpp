@@ -317,10 +317,13 @@ class StreamRunner final : public SessionRunner {
     config.duration = util::us_from_s(spec_.duration_s);
     config.spectators = static_cast<int>(spec_.spectators);
     config.slot = spec_.step_us;
-    pipeline_.emplace(config, ctx);
+    // A zero-length session is a legal spec but not a runnable pipeline
+    // (StreamPipeline rejects duration <= 0): it renders nothing.
+    if (config.duration > 0) pipeline_.emplace(config, ctx);
   }
 
   Report run(runtime::Context&) override {
+    if (!pipeline_) return Report{};
     // Peak clears the default RatePolicy raw rate (20 Gbps) so raw-mode
     // frames actually drain; the dips are what freeze-ledgers and the
     // adapter react to.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
 #include "obs/config.hpp"
 #include "obs/export.hpp"
@@ -51,18 +50,12 @@ FleetResult run_fleet(const std::vector<SessionSpec>& specs,
   // One workspace per chunk: a chunk runs on exactly one executor at a
   // time (the dispenser hands out whole chunks), so the workspace is
   // single-threaded by construction and TSan-clean.
-  std::vector<std::unique_ptr<Workspace>> workspaces(chunks);
-  if (config.reuse_workspace) {
-    for (std::unique_ptr<Workspace>& w : workspaces) {
-      w = std::make_unique<Workspace>();
-    }
-  }
+  std::vector<Workspace> workspaces(chunks);
 
   const auto wall_start = std::chrono::steady_clock::now();
   drivers.run_chunked(
       n, chunks, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        std::optional<WorkspaceScope> scope;
-        if (config.reuse_workspace) scope.emplace(*workspaces[chunk]);
+        const WorkspaceScope scope(workspaces[chunk]);
         SessionExecution exec;
         exec.capture_metrics = config.capture_metrics;
         exec.rollup = &shards.shard(chunk);

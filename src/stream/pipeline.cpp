@@ -2,10 +2,36 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
 namespace cyclops::stream {
+
+namespace {
+
+/// Rejects configs the run cannot survive: slot <= 0, or an fps whose
+/// frame period rounds to 0 us (fps > 2e6), reschedules an event at the
+/// same microsecond forever; a non-finite or non-positive fps has no
+/// period; duration <= 0 divides by zero in the report.
+PipelineConfig validated(PipelineConfig config) {
+  const auto reject = [](const char* field, const char* rule, auto value) {
+    std::ostringstream message;
+    message << "PipelineConfig." << field << " must be " << rule << ", got "
+            << value;
+    throw std::invalid_argument(message.str());
+  };
+  if (config.slot <= 0) reject("slot", "> 0 us", config.slot);
+  if (!std::isfinite(config.fps) || config.fps <= 0.0 || config.fps > 2e6) {
+    reject("fps", "finite and in (0, 2e6] (a frame period of >= 1 us)",
+           config.fps);
+  }
+  if (config.duration <= 0) reject("duration", "> 0 us", config.duration);
+  return config;
+}
+
+}  // namespace
 
 CapacityFn channel_capacity(
     phy::Channel& channel,
@@ -19,21 +45,21 @@ CapacityFn channel_capacity(
 
 StreamPipeline::StreamPipeline(PipelineConfig config,
                                const runtime::Context& ctx)
-    : config_(config),
+    : config_(validated(std::move(config))),
       frame_period_(static_cast<util::SimTimeUs>(
-          std::llround(1e6 / config.fps))),
+          std::llround(1e6 / config_.fps))),
       rng_(ctx.rng(kRngKey)),
-      arena_(config.arena),
-      adapter_(config.policy, ctx),
-      transport_(config.transport, arena_, ctx.rng(kRngKey + 1)) {
+      arena_(config_.arena),
+      adapter_(config_.policy, ctx),
+      transport_(config_.transport, arena_, ctx.rng(kRngKey + 1)) {
   obs::Registry* registry = &ctx.registry();
   arena_.set_obs(registry);
   transport_.set_obs(registry);
   const int receivers = 1 + std::max(0, config_.spectators);
   for (int i = 0; i < receivers; ++i) {
     ledgers_.push_back(std::make_unique<FreezeLedger>());
-    // Receiver 0 keeps the legacy unlabelled FrameStreamer metric names;
-    // spectators get their own label set.
+    // Receiver 0 records under the unlabelled stream_* names; spectators
+    // get their own label set.
     if (i == 0) {
       ledgers_.back()->set_obs(registry);
     } else {

@@ -94,9 +94,11 @@ class StreamPipeline final : public event::Process {
   static constexpr std::uint64_t kRngKey = 0x73747265616dULL;  // "stream"
 
   /// Builds the full plane from a context: obs lands in ctx.registry()
-  /// (headset ledger unlabelled — the legacy FrameStreamer names — and
-  /// spectators labelled {"receiver", i}), randomness from
-  /// ctx.rng(kRngKey).
+  /// (headset ledger unlabelled, spectators labelled {"receiver", i}),
+  /// randomness from ctx.rng(kRngKey).  Throws std::invalid_argument
+  /// naming the field for a config that cannot run: slot <= 0, an fps
+  /// that is not finite or outside (0, 2e6] (the frame period must round
+  /// to >= 1 us), or duration <= 0.
   StreamPipeline(PipelineConfig config, const runtime::Context& ctx);
 
   /// Runs the plane over [0, duration] against the capacity function and

@@ -41,7 +41,7 @@ EncoderMode EncoderRateAdapter::step(util::SimTimeUs now,
   double satisfied =
       std::clamp(capacity_gbps / policy_.raw_rate_gbps, 0.0, 1.0);
   // Backpressure extension, branch-gated so the weight-0 default keeps
-  // the float sequence bit-exact with the legacy controller.
+  // the float sequence bit-exact with the pre-stream controller.
   if (policy_.backpressure_weight > 0.0 && pressure_ > 0.0) {
     satisfied = std::clamp(
         satisfied - policy_.backpressure_weight * pressure_, 0.0, 1.0);

@@ -1,20 +1,24 @@
 // Encoder rate adaptation: raw video when the link allows it, a
 // compressed fallback when it does not.
 //
-// This is the policy core that net::AdaptiveStreamController now
-// delegates to.  Its step() arithmetic is a float-op-for-float-op port
-// of the legacy controller — tests/stream_abr_test.cpp drives both over
-// the 500-trace library and EXPECT_EQs every mode switch — so the
-// rebase is a pure refactor, not a behavior change.
+// §2.1's trade-off: raw frames avoid the decode burden (and its
+// motion-to-photon latency) but need tens of Gbps; compressed streaming
+// survives on WiFi-class rates at a latency and quality cost.  The
+// adapter watches how much of the raw demand the link carries and
+// switches modes with hysteresis and a minimum dwell, so a briefly
+// blocked link degrades to compressed instead of freezing.  Its step()
+// arithmetic is float-op-for-float-op the pre-stream controller's —
+// tests/stream_abr_test.cpp embeds that controller as its oracle and
+// EXPECT_EQs every mode switch over the 500-trace library.
 //
-// What the stream plane adds on top of the legacy policy is an explicit
-// backpressure input: the jitter buffer (or any downstream queue) can
-// report its fill level, and when RatePolicy::backpressure_weight is
-// non-zero that pressure is subtracted from the link-satisfaction
-// sample before the EMA — a full downstream queue reads as an
-// unsatisfied link even when the photons are flowing.  With the default
+// On top of that policy the adapter takes an explicit backpressure
+// input: the jitter buffer (or any downstream queue) can report its
+// fill level, and when RatePolicy::backpressure_weight is non-zero that
+// pressure is subtracted from the link-satisfaction sample before the
+// EMA — a full downstream queue reads as an unsatisfied link even when
+// the photons are flowing.  With the default
 // weight of 0 the extension is branch-gated off and the float sequence
-// is identical to the legacy controller.
+// is identical to the pre-stream controller.
 #pragma once
 
 #include "obs/registry.hpp"
@@ -30,8 +34,8 @@ enum class EncoderMode {
 
 const char* to_string(EncoderMode mode) noexcept;
 
-/// Field-for-field mirror of the legacy net::AdaptiveConfig, plus the
-/// backpressure extension knob.
+/// Mode-switching thresholds and rates, plus the backpressure extension
+/// knob.
 struct RatePolicy {
   double raw_rate_gbps = 20.0;
   double compressed_rate_gbps = 0.4;
@@ -47,8 +51,8 @@ struct RatePolicy {
   util::SimTimeUs min_dwell = 1000000;  // 1 s
   /// How strongly downstream backpressure (jitter-buffer fill in [0,1])
   /// discounts the link-satisfaction sample.  0 disables the extension
-  /// entirely — the step arithmetic is then bit-exact with the legacy
-  /// AdaptiveStreamController.
+  /// entirely — the step arithmetic is then bit-exact with the
+  /// pre-stream controller.
   double backpressure_weight = 0.0;
 };
 
@@ -63,7 +67,7 @@ class EncoderRateAdapter {
     set_obs(&ctx.registry());
   }
 
-  /// Attaches mode metrics under the legacy names: adaptive_switches_total
+  /// Attaches mode metrics: adaptive_switches_total
   /// counters (labelled by destination mode) and adaptive_mode_dwell_us
   /// histograms (time spent in the mode being left, labelled by that
   /// mode).  Pass nullptr to detach.  No-op in CYCLOPS_OBS=OFF builds.

@@ -1,9 +1,10 @@
-// Deadline-driven FIFO wire queue — the transmission mechanism the
-// legacy net::FrameStreamer used, extracted so it has exactly one
-// definition under the stream data plane.
+// Deadline-driven FIFO wire queue: rendered frames serialized onto the
+// link slot by slot, with every delivery and deadline drop recorded into
+// a FreezeLedger.  Pair it with stream::FrameSource for a raw-frame
+// stream over a time-varying link (examples/vr_session).
 //
-// Policy (unchanged from the pre-stream FrameStreamer, and pinned by
-// tests/net_test.cpp + tests/stream_abr_test.cpp):
+// Policy (pinned by tests/net_test.cpp and, bit-exact against the
+// pre-stream frame streamer, tests/stream_abr_test.cpp):
 //   * frames queue FIFO and are serialized against the per-slot
 //     capacity budget `capacity_gbps * slot_duration`;
 //   * DEADLINE BOUNDARY: a frame still undelivered once `now` moves

@@ -14,7 +14,7 @@
 #include "event/trace_hook.hpp"
 #include "link/event_eval.hpp"
 #include "link/event_session.hpp"
-#include "link/handover.hpp"
+#include "oracle/handover_manager.hpp"
 #include "link/slot_eval.hpp"
 #include "motion/trace_generator.hpp"
 #include "util/rng.hpp"

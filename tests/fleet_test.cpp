@@ -88,34 +88,34 @@ TEST(FleetTest, FleetMatchesAloneRunsAtAnyDriverWidth) {
 }
 
 TEST(FleetTest, ChunkingAndWorkspaceReuseDoNotChangeBytes) {
+  // Every chunk reuses one workspace scheduler across its sessions, so
+  // the chunk count decides how many sessions share a slab: 1 chunk (all
+  // 18), 5, or 18 (none).  The fresh-scheduler side is the alone-run
+  // baseline of FleetMatchesAloneRunsAtAnyDriverWidth.
   const std::vector<session::SessionSpec> specs = mixed_specs(18);
   const session::RunnerFactory factory = session::catalog_factory();
   util::ThreadPool pool(2);
 
   std::vector<session::Report> baseline;
   std::string rollup_baseline;
-  for (const bool reuse : {true, false}) {
-    for (const std::size_t chunks : {std::size_t{1}, std::size_t{5},
-                                     std::size_t{18}}) {
-      session::FleetConfig config;
-      config.chunks = chunks;
-      config.capture_metrics = true;
-      config.reuse_workspace = reuse;
-      const session::FleetResult fleet =
-          session::run_fleet(specs, factory, config, &pool);
-      ASSERT_EQ(fleet.reports.size(), specs.size());
-      const std::string rollup = obs::to_jsonl(*fleet.rollup);
-      if (baseline.empty()) {
-        baseline = fleet.reports;
-        rollup_baseline = rollup;
-        continue;
-      }
-      for (std::size_t i = 0; i < specs.size(); ++i) {
-        expect_reports_identical(fleet.reports[i], baseline[i], i);
-      }
-      EXPECT_EQ(rollup, rollup_baseline)
-          << "reuse=" << reuse << " chunks=" << chunks;
+  for (const std::size_t chunks : {std::size_t{1}, std::size_t{5},
+                                   std::size_t{18}}) {
+    session::FleetConfig config;
+    config.chunks = chunks;
+    config.capture_metrics = true;
+    const session::FleetResult fleet =
+        session::run_fleet(specs, factory, config, &pool);
+    ASSERT_EQ(fleet.reports.size(), specs.size());
+    const std::string rollup = obs::to_jsonl(*fleet.rollup);
+    if (baseline.empty()) {
+      baseline = fleet.reports;
+      rollup_baseline = rollup;
+      continue;
     }
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      expect_reports_identical(fleet.reports[i], baseline[i], i);
+    }
+    EXPECT_EQ(rollup, rollup_baseline) << "chunks=" << chunks;
   }
 }
 

@@ -4,7 +4,7 @@
 
 #include "core/calibration.hpp"
 #include "link/fso_link.hpp"
-#include "link/handover.hpp"
+#include "oracle/handover_manager.hpp"
 #include "link/slot_eval.hpp"
 #include "motion/trace_generator.hpp"
 #include "util/units.hpp"

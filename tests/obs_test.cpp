@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "event/obs_hook.hpp"
 #include "event/process.hpp"
 #include "event/scheduler.hpp"
 #include "event/trace_hook.hpp"
@@ -211,7 +210,7 @@ TEST(ObsRegistryTest, MergeCreatesAndAccumulates) {
 // Fleet-wide rollup: two sessions' context registries folded into one.
 // Same metric names; labels partly disjoint (per-session label) and
 // partly overlapping (shared plane label) — the shapes
-// run_concurrent_sessions outputs produce when merged for a rollup.
+// fleet session registries produce when merged for a rollup.
 TEST(ObsRegistryTest, MergeRollupDisjointLabelSets) {
   obs::Registry fleet, s0, s1;
   s0.counter("session_slots_total", {{"session", "0"}}).inc(100);
@@ -417,7 +416,7 @@ TEST(ObsDeterminismTest, InstrumentationDoesNotChangeSimOutput) {
   EXPECT_EQ(observed.events, plain.events);
 }
 
-// ---- EventCounter rebase + MetricsHook ----
+// ---- EventCounter rebase ----
 
 class NullProcess final : public event::Process {
  public:
@@ -458,28 +457,6 @@ TEST(ObsEventCounterTest, MatchesLegacyMapSemantics) {
   EXPECT_EQ(counter.dispatched(3), 3u);
   EXPECT_EQ(counter.dispatched(9), 0u);  // cancelled, never dispatched
   EXPECT_EQ(counter.dispatched(event::EventCounter::kMaxTypes + 5), 0u);
-}
-
-TEST(ObsMetricsHookTest, CountsSchedulerTrafficPerPlane) {
-  obs::Registry registry;
-  event::Scheduler sched;
-  event::MetricsHook hook(registry, "test_plane");
-  sched.add_hook(&hook);
-  NullProcess process;
-  const event::ProcessId target = sched.add_process(&process);
-
-  for (int i = 0; i < 4; ++i) {
-    event::Event ev;
-    ev.time = sched.now() + i;
-    ev.target = target;
-    sched.schedule(ev);
-  }
-  sched.run();
-
-  const obs::Labels plane{{"plane", "test_plane"}};
-  EXPECT_EQ(registry.counter("events_scheduled_total", plane).value(), 4u);
-  EXPECT_EQ(registry.counter("events_dispatched_total", plane).value(), 4u);
-  EXPECT_EQ(registry.counter("events_cancelled_total", plane).value(), 0u);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "motion/profile.hpp"
 #include "obs/config.hpp"
 #include "obs/registry.hpp"
+#include "oracle/fixed_step_link.hpp"
 #include "phy/mmwave_channel.hpp"
 #include "phy/wdm_channel.hpp"
 #include "runtime/context.hpp"

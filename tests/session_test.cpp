@@ -265,5 +265,19 @@ TEST(SpecValidationTest, ValidSpecsStillRun) {
   }
 }
 
+TEST(SpecValidationTest, ZeroLengthStreamSessionRendersNothing) {
+  // A zero duration is a legal spec; the stream runner must not hand it
+  // to StreamPipeline, which rejects duration <= 0.
+  session::SessionSpec spec;
+  spec.variant = session::Variant::kStream;
+  spec.duration_s = 0.0;
+  const session::Report report =
+      session::run_session(spec, session::catalog_factory());
+  EXPECT_EQ(report.events, 0u);
+  EXPECT_EQ(report.slots, 0u);
+  EXPECT_EQ(report.served_fraction, 0.0);
+  EXPECT_EQ(report.avg_rate_gbps, 0.0);
+}
+
 }  // namespace
 }  // namespace cyclops

@@ -1,5 +1,5 @@
 // ABR rebase oracle: the streaming data plane's EncoderRateAdapter and
-// the WireQueue-backed net::FrameStreamer must be bit-exact with the
+// its WireQueue + FreezeLedger wire must be bit-exact with the
 // pre-stream implementations across the full fig16 trace library
 // (ISSUE 7 acceptance: EXPECT_EQ mode-switch sequences and freeze
 // counts on all 500 traces).
@@ -19,9 +19,9 @@
 
 #include "link/slot_eval.hpp"
 #include "motion/trace_generator.hpp"
-#include "net/adaptive_stream.hpp"
-#include "net/streamer.hpp"
+#include "stream/freeze_ledger.hpp"
 #include "stream/rate_adapter.hpp"
+#include "stream/wire_queue.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
@@ -29,9 +29,8 @@ namespace cyclops::stream {
 namespace {
 
 // ---------------------------------------------------------------------
-// Legacy oracle #1: AdaptiveStreamController as it was before the
-// stream:: rebase (git history, src/net/adaptive_stream.cpp), obs
-// handles stripped.
+// Legacy oracle #1: the adaptive stream controller as it was before the
+// stream:: rebase, obs handles stripped.
 // ---------------------------------------------------------------------
 
 enum class LegacyMode { kRaw, kCompressed };
@@ -93,8 +92,8 @@ class LegacyAdaptiveStreamController {
 };
 
 // ---------------------------------------------------------------------
-// Legacy oracle #2: FrameStreamer as it was before the WireQueue /
-// FreezeLedger rebase (git history, src/net/streamer.cpp).
+// Legacy oracle #2: the frame streamer as it was before the WireQueue /
+// FreezeLedger rebase.
 // ---------------------------------------------------------------------
 
 struct LegacyFrame {
@@ -252,35 +251,41 @@ bool operator==(const TraceOutcome& a, const TraceOutcome& b) {
 constexpr util::SimTimeUs kSlotUs = 1000;
 constexpr util::SimTimeUs kFramePeriodUs = 11111;  // 90 fps
 
-// Drives one trace through an ABR controller + streamer pair.  The same
+// Drives one trace through an ABR controller + wire pair.  The same
 // slot/frame interleave for both paths: frames rendered since the last
 // slot are offered (sized by the controller's current mode), then the
-// controller and the wire advance one slot.
-template <typename Controller, typename Streamer, typename Offer>
-TraceOutcome drive(const std::vector<double>& capacity,
-                   Controller& controller, Streamer& streamer,
-                   const Offer& offer) {
-  TraceOutcome out;
+// controller and the wire advance one slot.  Returns the switch
+// sequence; the caller reads the QoE numbers off its own stats.
+template <typename Controller, typename Wire, typename Offer>
+SwitchSeq drive(const std::vector<double>& capacity, Controller& controller,
+                Wire& wire, const Offer& offer) {
+  SwitchSeq switches;
   std::int64_t next_frame = 0;
   int last_switches = 0;
   for (std::size_t s = 0; s < capacity.size(); ++s) {
     const util::SimTimeUs now = static_cast<util::SimTimeUs>(s) * kSlotUs;
     while (next_frame * kFramePeriodUs <= now) {
       const util::SimTimeUs render = next_frame * kFramePeriodUs;
-      offer(streamer, next_frame, render,
+      offer(wire, next_frame, render,
             controller.current_rate_gbps() * 1e9 / 90.0);
       ++next_frame;
     }
     controller.step(now, capacity[s]);
     if (controller.mode_switches() != last_switches) {
       last_switches = controller.mode_switches();
-      out.switches.emplace_back(
+      switches.emplace_back(
           now, static_cast<int>(controller.current_rate_gbps() ==
                                 20.0));  // 1 = raw, 0 = compressed
     }
-    streamer.step(now, kSlotUs, capacity[s]);
+    wire.step(now, kSlotUs, capacity[s]);
   }
-  const auto& st = streamer.stats();
+  return switches;
+}
+
+template <typename Stats>
+TraceOutcome outcome(SwitchSeq switches, const Stats& st) {
+  TraceOutcome out;
+  out.switches = std::move(switches);
   out.frames_offered = st.frames_offered;
   out.frames_delivered = st.frames_delivered;
   out.frames_dropped = st.frames_dropped;
@@ -294,34 +299,25 @@ TraceOutcome drive(const std::vector<double>& capacity,
 
 TraceOutcome run_new(const std::vector<double>& capacity) {
   EncoderRateAdapter adapter{RatePolicy{}};
-  net::FrameStreamer streamer{net::StreamerConfig{}};
-  return drive(capacity, adapter, streamer,
-               [](net::FrameStreamer& s, std::int64_t id,
-                  util::SimTimeUs render, double bits) {
-                 s.offer(net::Frame{id, render, bits});
-               });
+  FreezeLedger ledger;
+  WireQueue wire{WireQueueConfig{}, ledger};
+  SwitchSeq switches =
+      drive(capacity, adapter, wire,
+            [](WireQueue& w, std::int64_t id, util::SimTimeUs render,
+               double bits) { w.offer(id, render, bits); });
+  return outcome(std::move(switches), ledger.stats());
 }
 
 TraceOutcome run_legacy(const std::vector<double>& capacity) {
   LegacyAdaptiveStreamController controller{LegacyAdaptiveConfig{}};
   LegacyFrameStreamer streamer{22000, 1.05};
-  return drive(capacity, controller, streamer,
-               [](LegacyFrameStreamer& s, std::int64_t id,
-                  util::SimTimeUs render, double bits) {
-                 s.offer(LegacyFrame{id, render, bits});
-               });
-}
-
-// The rebased net::AdaptiveStreamController is itself a thin adapter
-// over EncoderRateAdapter; run it too so all three agree.
-TraceOutcome run_rebased_controller(const std::vector<double>& capacity) {
-  net::AdaptiveStreamController controller{net::AdaptiveConfig{}};
-  net::FrameStreamer streamer{net::StreamerConfig{}};
-  return drive(capacity, controller, streamer,
-               [](net::FrameStreamer& s, std::int64_t id,
-                  util::SimTimeUs render, double bits) {
-                 s.offer(net::Frame{id, render, bits});
-               });
+  SwitchSeq switches =
+      drive(capacity, controller, streamer,
+            [](LegacyFrameStreamer& s, std::int64_t id,
+               util::SimTimeUs render, double bits) {
+              s.offer(LegacyFrame{id, render, bits});
+            });
+  return outcome(std::move(switches), streamer.stats());
 }
 
 TEST(StreamAbrTest, BitExactWithLegacyOnFullTraceLibrary) {
@@ -348,17 +344,6 @@ TEST(StreamAbrTest, BitExactWithLegacyOnFullTraceLibrary) {
   EXPECT_GT(total_switches, 0);
   EXPECT_GT(total_freezes, 0);
   EXPECT_GT(total_drops, 0);
-}
-
-TEST(StreamAbrTest, RebasedControllerMatchesCoreAdapter) {
-  const auto traces = make_dataset(25);
-  const link::SlotEvalConfig slot_config;
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    const auto capacity = capacity_per_slot(traces[i], slot_config);
-    const TraceOutcome via_net = run_rebased_controller(capacity);
-    const TraceOutcome via_stream = run_new(capacity);
-    ASSERT_TRUE(via_net == via_stream) << "trace " << i;
-  }
 }
 
 // Synthetic flap: pin the exact switch times on a hand-built capacity

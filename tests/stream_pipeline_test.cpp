@@ -1,8 +1,13 @@
 // StreamPipeline end-to-end: the event-driven frame -> transport ->
 // jitter-playout plane over clean and flapping capacity, spectator
 // fan-out with the refcount-only (zero-copy) guarantee, ABR downgrade
-// under sustained outage, and arena-cap backpressure.
+// under sustained outage, arena-cap backpressure, and the constructor's
+// rejection of configs that would hang or divide by zero.
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "runtime/context.hpp"
 #include "stream/pipeline.hpp"
@@ -149,6 +154,61 @@ TEST(StreamPipelineTest, ArenaCapBackpressuresInsteadOfGrowing) {
   EXPECT_GT(result.arena.failures, 0u);
   EXPECT_EQ(result.receivers[0].ledger.frames_dropped,
             result.receivers[0].ledger.frames_offered);
+}
+
+// ---- config validation: each bad field is rejected by name ----
+
+/// The constructor's std::invalid_argument message, or "" if it accepted.
+std::string rejection(const PipelineConfig& config) {
+  runtime::Context ctx = runtime::Context::isolated();
+  try {
+    StreamPipeline pipe(config, ctx);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(StreamPipelineConfigTest, RejectsNonPositiveSlot) {
+  // A zero slot would reschedule the slot event at the same microsecond
+  // forever.
+  for (const util::SimTimeUs slot : {0, -1000}) {
+    PipelineConfig config = base_config();
+    config.slot = slot;
+    const std::string message = rejection(config);
+    EXPECT_NE(message.find("PipelineConfig.slot"), std::string::npos)
+        << "slot " << slot << ": '" << message << "'";
+  }
+}
+
+TEST(StreamPipelineConfigTest, RejectsFpsWithoutAPositivePeriod) {
+  // 0, negative and non-finite rates have no frame period; above 2e6 fps
+  // the period rounds to 0 us and the frame event never advances.
+  for (const double fps : {0.0, -90.0, 2.5e6,
+                           std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    PipelineConfig config = base_config();
+    config.fps = fps;
+    const std::string message = rejection(config);
+    EXPECT_NE(message.find("PipelineConfig.fps"), std::string::npos)
+        << "fps " << fps << ": '" << message << "'";
+  }
+  // The boundary itself still has a 1 us period and is accepted.
+  PipelineConfig config = base_config();
+  config.fps = 2e6;
+  config.duration = 100;
+  EXPECT_EQ(rejection(config), "");
+}
+
+TEST(StreamPipelineConfigTest, RejectsNonPositiveDuration) {
+  // offered_gbps and goodput_gbps divide by the duration.
+  for (const util::SimTimeUs duration : {0, -1}) {
+    PipelineConfig config = base_config();
+    config.duration = duration;
+    const std::string message = rejection(config);
+    EXPECT_NE(message.find("PipelineConfig.duration"), std::string::npos)
+        << "duration " << duration << ": '" << message << "'";
+  }
 }
 
 }  // namespace
