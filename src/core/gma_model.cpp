@@ -12,12 +12,6 @@ std::optional<geom::Ray> GmaModel::trace(const galvo::MirrorAngles& angles,
   return ray;
 }
 
-geom::Plane GmaModel::mirror2_plane(double v2) const {
-  return {params_.q2,
-          prepared_.mirror2.normal(
-              galvo::MirrorAngle::at(prepared_.theta1 * v2))};
-}
-
 GmaModel GmaModel::with_frozen_origin() const {
   GmaModel frozen = *this;
   if (const auto at_zero = galvo::trace_ideal(prepared_, angles(0.0, 0.0))) {

@@ -43,7 +43,9 @@ class GmaModel {
 
   /// Mirror-2 plane for the given second-mirror voltage; contains every
   /// beam origin p and Lemma 1's target points tau.
-  geom::Plane mirror2_plane(double v2) const;
+  geom::Plane mirror2_plane(double v2) const {
+    return prepared_.mirror2_plane(v2);
+  }
 
   /// The same physical model expressed in `map`'s parent frame
   /// (map: this-frame -> parent-frame).

@@ -2,10 +2,6 @@
 
 #include <cmath>
 
-#include "geom/mat3.hpp"
-#include "geom/reflect.hpp"
-#include "util/units.hpp"
-
 namespace cyclops::galvo {
 
 std::array<double, GalvoParams::kParamCount> GalvoParams::pack() const {
@@ -31,38 +27,6 @@ GalvoParams GalvoParams::unpack(
 
 GalvoSpec gvs102_spec() { return {}; }
 
-GalvoMirror::GalvoMirror(GalvoParams params, GalvoSpec spec)
-    : params_(std::move(params)), spec_(spec) {}
-
-geom::Plane GalvoMirror::mirror1_plane(double v1) const {
-  const geom::Mat3 rot = geom::Mat3::rotation(params_.r1, params_.theta1 * v1);
-  return {params_.q1, rot * params_.n1};
-}
-
-geom::Plane GalvoMirror::mirror2_plane(double v2) const {
-  const geom::Mat3 rot = geom::Mat3::rotation(params_.r2, params_.theta1 * v2);
-  return {params_.q2, rot * params_.n2};
-}
-
-PreparedMirror::PreparedMirror(const geom::Vec3& point,
-                               const geom::Vec3& normal,
-                               const geom::Vec3& axis)
-    : q(point), n(normal) {
-  // Mat3::rotation's per-axis work: the norm, the division and the
-  // pairwise products (u.y * u.x == u.x * u.y exactly, so one product
-  // serves both off-diagonal entries).
-  const double len = axis.norm();
-  zero_axis = len == 0.0;
-  if (zero_axis) return;
-  u = axis / len;
-  uxx = u.x * u.x;
-  uyy = u.y * u.y;
-  uzz = u.z * u.z;
-  uxy = u.x * u.y;
-  uxz = u.x * u.z;
-  uyz = u.y * u.z;
-}
-
 PreparedGalvo::PreparedGalvo(const GalvoParams& params)
     : p0(params.p0),
       x0(params.x0.normalized()),
@@ -70,28 +34,23 @@ PreparedGalvo::PreparedGalvo(const GalvoParams& params)
       mirror2(params.q2, params.n2, params.r2),
       theta1(params.theta1) {}
 
-std::optional<geom::Ray> trace_ideal(const GalvoParams& params, double v1,
-                                     double v2) {
-  const PreparedGalvo galvo(params);
-  return trace_ideal(galvo, galvo.angles(v1, v2));
-}
+GalvoMirror::GalvoMirror(GalvoParams params, GalvoSpec spec)
+    : params_(std::move(params)), prepared_(params_), spec_(spec) {}
 
 std::optional<geom::Ray> GalvoMirror::trace(double v1, double v2) const {
   if (!voltage_in_range(v1) || !voltage_in_range(v2)) return std::nullopt;
-  const geom::Ray input{params_.p0, params_.x0.normalized()};
-
-  const geom::Plane m1 = mirror1_plane(v1);
-  const auto mid = geom::reflect(input, m1);
-  if (!mid) return std::nullopt;
-  if (geom::distance(mid->origin, params_.q1) > spec_.mirror_radius) {
-    return std::nullopt;  // clipped by mirror 1
+  const MirrorAngles angles = prepared_.angles(v1, v2);
+  const PreparedMirror& m1 = prepared_.mirror1;
+  const PreparedMirror& m2 = prepared_.mirror2;
+  const auto mid = geom::reflect({prepared_.p0, prepared_.x0},
+                                 m1.plane(angles.m1), /*forward_only=*/true);
+  if (!mid || geom::distance(mid->origin, m1.q) > spec_.mirror_radius) {
+    return std::nullopt;  // misses or is clipped by mirror 1
   }
-
-  const geom::Plane m2 = mirror2_plane(v2);
-  const auto out = geom::reflect(*mid, m2);
-  if (!out) return std::nullopt;
-  if (geom::distance(out->origin, params_.q2) > spec_.mirror_radius) {
-    return std::nullopt;  // clipped by mirror 2
+  const auto out =
+      geom::reflect(*mid, m2.plane(angles.m2), /*forward_only=*/true);
+  if (!out || geom::distance(out->origin, m2.q) > spec_.mirror_radius) {
+    return std::nullopt;  // misses or is clipped by mirror 2
   }
   return out;
 }

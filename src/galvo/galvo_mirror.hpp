@@ -1,13 +1,16 @@
-// Physical model of a two-axis galvo mirror (GM), e.g. the ThorLabs GVS102.
-//
-// This is the *ground truth* device the learning pipeline in src/core must
-// recover: the same parameterization as the paper's §4.1 — input beam
-// (p0, x0), per-mirror plane (n_i, q_i) and rotation axis (r_i), and the
-// voltage-to-angle gain theta1 shared by both mirrors:
+// The two-axis galvo mirror (GM), e.g. the ThorLabs GVS102, and the §4.1
+// forward model G it obeys: input beam (p0, x0), per-mirror plane
+// (n_i, q_i) and rotation axis (r_i), and the voltage-to-angle gain theta1
+// shared by both mirrors:
 //
 //   n_i' = R(r_i, theta1 * v_i) * n_i
 //   (p_mid, x_mid) = reflect(p0, x0 | n_1', q_1)
 //   (p,     x    ) = reflect(p_mid, x_mid | n_2', q_2)
+//
+// One kernel (PreparedGalvo) evaluates G for both the learned model
+// (core::GmaModel) and the physical device (GalvoMirror, the ground truth
+// the learning pipeline in src/core must recover); the device adds only
+// forward propagation, its voltage range and its mirrors' clear apertures.
 //
 // Note the output origin p lies on mirror 2 and moves with the voltages —
 // the "distortion" effect [58] the paper insists must be modeled.
@@ -54,31 +57,6 @@ struct GalvoSpec {
 /// GVS102-like defaults.
 GalvoSpec gvs102_spec();
 
-class GalvoMirror {
- public:
-  GalvoMirror(GalvoParams params, GalvoSpec spec);
-
-  const GalvoParams& params() const noexcept { return params_; }
-  const GalvoSpec& spec() const noexcept { return spec_; }
-
-  /// Mirror planes for the given voltages (normals rotated per model).
-  geom::Plane mirror1_plane(double v1) const;
-  geom::Plane mirror2_plane(double v2) const;
-
-  /// Traces the input beam through both mirrors.  Returns the output beam
-  /// (origin on mirror 2), or nullopt if the beam misses a mirror plane,
-  /// falls outside a mirror's clear radius, or a voltage is out of range.
-  std::optional<geom::Ray> trace(double v1, double v2) const;
-
-  bool voltage_in_range(double v) const noexcept {
-    return v >= -spec_.max_voltage && v <= spec_.max_voltage;
-  }
-
- private:
-  GalvoParams params_;
-  GalvoSpec spec_;
-};
-
 /// One mirror's rotation angle theta1 * v with its cosine and sine, so
 /// callers that hold a voltage fixed across many traces (LM residuals,
 /// G' probes) pay for the trig once.
@@ -103,26 +81,25 @@ struct MirrorAngles {
 };
 
 /// One mirror of a PreparedGalvo: its plane point, its zero-voltage normal
-/// and the per-axis terms of Mat3::rotation for its rotation axis.
+/// and its prepared rotation axis.
 struct PreparedMirror {
   geom::Vec3 q;
   geom::Vec3 n;
-  geom::Vec3 u;  ///< Unit rotation axis.
-  double uxx = 0.0, uyy = 0.0, uzz = 0.0;
-  double uxy = 0.0, uxz = 0.0, uyz = 0.0;
-  bool zero_axis = false;  ///< |r| == 0: every rotation is the identity.
+  geom::PreparedRotation axis;
 
   PreparedMirror(const geom::Vec3& point, const geom::Vec3& normal,
-                 const geom::Vec3& axis);
+                 const geom::Vec3& rotation_axis)
+      : q(point), n(normal), axis(rotation_axis) {}
 
-  /// The rotated normal; bit-identical to
-  /// `Mat3::rotation(axis, a.angle) * n`, identity shortcut included.
-  geom::Vec3 normal(const MirrorAngle& a) const;
+  /// The rotated normal R(r, a.angle) * n.
+  geom::Vec3 normal(const MirrorAngle& a) const {
+    return axis.matrix(a.angle, a.cos, a.sin) * n;
+  }
+  geom::Plane plane(const MirrorAngle& a) const { return {q, normal(a)}; }
 };
 
 /// The per-GalvoParams constants of the G kernel, hoisted out of every
-/// trace: unit input direction, unit rotation axes, zero-axis flags and
-/// theta1.
+/// trace: unit input direction, prepared rotation axes and theta1.
 struct PreparedGalvo {
   geom::Vec3 p0;
   geom::Vec3 x0;  ///< Unit input direction.
@@ -135,74 +112,67 @@ struct PreparedGalvo {
   MirrorAngles angles(double v1, double v2) const {
     return MirrorAngles::at(theta1, v1, v2);
   }
-};
 
-/// Ideal two-mirror trace with no aperture or voltage-range checks — the
-/// pure §4.1 G function.  Used by the *learned* model (which has no notion
-/// of clear apertures) and shared with the physical device's trace.
-/// A wrapper over the prepared kernel below, which gives the same bits.
-std::optional<geom::Ray> trace_ideal(const GalvoParams& params, double v1,
-                                     double v2);
+  /// Mirror-2 plane at voltage v2: it holds every output origin p and
+  /// Lemma 1's target points tau.
+  geom::Plane mirror2_plane(double v2) const {
+    return mirror2.plane(MirrorAngle::at(theta1 * v2));
+  }
+};
 
 // The kernel is defined inline: it runs tens of millions of times per
 // calibration, and out of line its per-mirror and per-reflection calls
 // cost about a quarter of an install's time.
 
-inline geom::Vec3 PreparedMirror::normal(const MirrorAngle& a) const {
-  // Mat3::rotation's identity shortcut, multiplied out as it was.
-  if (zero_axis || a.angle == 0.0) return geom::Mat3::identity() * n;
-  // The Rodrigues entries and the row-by-row product, term for term in
-  // Mat3::rotation's and Mat3::operator*'s order.
-  const double c = a.cos;
-  const double s = a.sin;
-  const double t = 1.0 - c;
-  const double m00 = c + uxx * t;
-  const double m01 = uxy * t - u.z * s;
-  const double m02 = uxz * t + u.y * s;
-  const double m10 = uxy * t + u.z * s;
-  const double m11 = c + uyy * t;
-  const double m12 = uyz * t - u.x * s;
-  const double m20 = uxz * t - u.y * s;
-  const double m21 = uyz * t + u.x * s;
-  const double m22 = c + uzz * t;
-  return {m00 * n.x + m01 * n.y + m02 * n.z,
-          m10 * n.x + m11 * n.y + m12 * n.z,
-          m20 * n.x + m21 * n.y + m22 * n.z};
-}
-
-/// The G kernel given both mirrors' rotated normals (as returned by
+/// The ideal G — both reflections with no aperture or voltage-range
+/// checks — given both mirrors' rotated normals (as returned by
 /// PreparedMirror::normal), for callers that also need mirror 2's plane.
 inline std::optional<geom::Ray> trace_ideal(const PreparedGalvo& galvo,
                                             const geom::Vec3& mirror1_normal,
                                             const geom::Vec3& mirror2_normal) {
-  // Mirror intersections here use the *algebraic* (non-forward-only)
-  // ray/plane solution: the closed-form G of §4.1 is a total function of
-  // the voltages, and the learned parameter estimates must stay evaluable
-  // while the optimizer explores (or mildly extrapolates beyond) the
-  // trained region.  The physical device model (GalvoMirror::trace)
-  // enforces real forward propagation and apertures instead.
-  const auto reflect_algebraic =
-      [](const geom::Ray& ray,
-         const geom::Plane& mirror) -> std::optional<geom::Ray> {
-    const auto t = geom::intersect(ray, mirror, /*forward_only=*/false);
-    if (!t) return std::nullopt;
-    const geom::Vec3 n = mirror.normal.normalized();
-    return geom::Ray{ray.at(*t), geom::reflect_dir(ray.dir, n)};
-  };
-
-  const geom::Ray input{galvo.p0, galvo.x0};
-  const auto mid =
-      reflect_algebraic(input, {galvo.mirror1.q, mirror1_normal});
+  // The *algebraic* (non-forward-only) ray/plane solution: the closed-form
+  // G of §4.1 is a total function of the voltages, and the learned
+  // parameter estimates must stay evaluable while the optimizer explores
+  // (or mildly extrapolates beyond) the trained region.
+  const auto mid = geom::reflect({galvo.p0, galvo.x0},
+                                 {galvo.mirror1.q, mirror1_normal},
+                                 /*forward_only=*/false);
   if (!mid) return std::nullopt;
-  return reflect_algebraic(*mid, {galvo.mirror2.q, mirror2_normal});
+  return geom::reflect(*mid, {galvo.mirror2.q, mirror2_normal},
+                       /*forward_only=*/false);
 }
 
-/// The G kernel at precomputed mirror angles.
+/// The ideal G at precomputed mirror angles.
 inline std::optional<geom::Ray> trace_ideal(const PreparedGalvo& galvo,
                                             const MirrorAngles& angles) {
   return trace_ideal(galvo, galvo.mirror1.normal(angles.m1),
                      galvo.mirror2.normal(angles.m2));
 }
+
+/// The physical device: G's prepared kernel plus the hardware limits.
+class GalvoMirror {
+ public:
+  GalvoMirror(GalvoParams params, GalvoSpec spec);
+
+  const GalvoParams& params() const noexcept { return params_; }
+  const GalvoSpec& spec() const noexcept { return spec_; }
+  const PreparedGalvo& prepared() const noexcept { return prepared_; }
+
+  /// Traces the input beam forward through both mirrors.  Returns the
+  /// output beam (origin on mirror 2), or nullopt if a voltage is out of
+  /// range, or the beam misses a mirror plane (parallel to it or behind
+  /// the beam) or falls outside its clear radius.
+  std::optional<geom::Ray> trace(double v1, double v2) const;
+
+  bool voltage_in_range(double v) const noexcept {
+    return v >= -spec_.max_voltage && v <= spec_.max_voltage;
+  }
+
+ private:
+  GalvoParams params_;
+  PreparedGalvo prepared_;
+  GalvoSpec spec_;
+};
 
 /// DAQ between the controller and the galvo servos: quantizes commanded
 /// voltages and contributes most of the 1-2 ms pointing latency (§5.2).

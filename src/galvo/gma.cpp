@@ -19,7 +19,7 @@ std::optional<optics::TracedBeam> GmaPhysical::emit(
 }
 
 geom::Plane GmaPhysical::mirror2_plane_parent(double v2) const {
-  return mount_.apply(galvo_.mirror2_plane(v2));
+  return mount_.apply(galvo_.prepared().mirror2_plane(v2));
 }
 
 }  // namespace cyclops::galvo

@@ -12,23 +12,7 @@ Mat3 Mat3::zero() {
 }
 
 Mat3 Mat3::rotation(const Vec3& axis, double angle) {
-  const double n = axis.norm();
-  if (n == 0.0 || angle == 0.0) return identity();
-  const Vec3 u = axis / n;
-  const double c = std::cos(angle);
-  const double s = std::sin(angle);
-  const double t = 1.0 - c;
-  Mat3 r;
-  r.m[0][0] = c + u.x * u.x * t;
-  r.m[0][1] = u.x * u.y * t - u.z * s;
-  r.m[0][2] = u.x * u.z * t + u.y * s;
-  r.m[1][0] = u.y * u.x * t + u.z * s;
-  r.m[1][1] = c + u.y * u.y * t;
-  r.m[1][2] = u.y * u.z * t - u.x * s;
-  r.m[2][0] = u.z * u.x * t - u.y * s;
-  r.m[2][1] = u.z * u.y * t + u.x * s;
-  r.m[2][2] = c + u.z * u.z * t;
-  return r;
+  return PreparedRotation(axis).matrix(angle);
 }
 
 Mat3 Mat3::rotation_between(const Vec3& from, const Vec3& to) {
@@ -43,12 +27,6 @@ Mat3 Mat3::rotation_between(const Vec3& from, const Vec3& to) {
     return rotation(any_orthogonal(f), std::acos(-1.0));
   }
   return rotation(axis, std::atan2(s, c));
-}
-
-Vec3 Mat3::operator*(const Vec3& v) const {
-  return {m[0][0] * v.x + m[0][1] * v.y + m[0][2] * v.z,
-          m[1][0] * v.x + m[1][1] * v.y + m[1][2] * v.z,
-          m[2][0] * v.x + m[2][1] * v.y + m[2][2] * v.z};
 }
 
 Mat3 Mat3::operator*(const Mat3& o) const {

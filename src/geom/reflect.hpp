@@ -10,14 +10,21 @@
 
 namespace cyclops::geom {
 
-/// Reflects `incoming` off the mirror plane.  Returns the outgoing ray whose
-/// origin is the hit point on the mirror, or nullopt if the ray misses the
-/// plane (parallel or behind).
-std::optional<Ray> reflect(const Ray& incoming, const Plane& mirror);
-
 /// Direction-only reflection: d - 2 (d . n) n for unit normal n.
 inline Vec3 reflect_dir(const Vec3& dir, const Vec3& unit_normal) {
   return dir - unit_normal * (2.0 * dir.dot(unit_normal));
+}
+
+/// Reflects `incoming` off the mirror plane.  Returns the outgoing ray whose
+/// origin is the hit point on the mirror, or nullopt if the ray misses the
+/// plane: parallel to it, or (with forward_only) hitting it behind the
+/// origin.  Inline: the G kernel reflects twice per trace.
+inline std::optional<Ray> reflect(const Ray& incoming, const Plane& mirror,
+                                  bool forward_only = true) {
+  const auto t = intersect(incoming, mirror, forward_only);
+  if (!t) return std::nullopt;
+  return Ray{incoming.at(*t),
+             reflect_dir(incoming.dir, mirror.normal.normalized())};
 }
 
 }  // namespace cyclops::geom

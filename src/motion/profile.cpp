@@ -66,7 +66,7 @@ AngularStrokeMotion::AngularStrokeMotion(geom::Pose base, geom::Vec3 axis,
                                          double half_angle,
                                          std::vector<double> stroke_speeds,
                                          double rest_s)
-    : base_(std::move(base)), axis_(axis.normalized()) {
+    : base_(std::move(base)), axis_(base_.rotation() * axis.normalized()) {
   double t = 0.0;
   double angle = -half_angle;
   for (double speed : stroke_speeds) {
@@ -95,8 +95,7 @@ geom::Pose AngularStrokeMotion::pose_at(util::SimTimeUs t) const {
   }
   // Rotate about the axis through the rig origin (the rotation stage sits
   // under the breadboard).
-  const geom::Mat3 rot = geom::Mat3::rotation(base_.rotation() * axis_, angle);
-  return {rot * base_.rotation(), base_.translation()};
+  return {axis_.matrix(angle) * base_.rotation(), base_.translation()};
 }
 
 // --- MixedRandomMotion ---

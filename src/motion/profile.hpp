@@ -80,7 +80,7 @@ class AngularStrokeMotion final : public MotionProfile {
     double from_angle, to_angle;
   };
   geom::Pose base_;
-  geom::Vec3 axis_;
+  geom::PreparedRotation axis_;  ///< The stroke axis in the world frame.
   std::vector<Segment> segments_;
   double total_s_ = 0.0;
 };

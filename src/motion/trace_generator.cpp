@@ -53,18 +53,23 @@ Trace generate_viewing_trace(const geom::Pose& base,
   double shift_left_s = 0.0;
   geom::Vec3 shift_velocity{};
 
+  // Head orientation relative to the base: yaw about base-frame y (up),
+  // pitch about x, roll about z.
+  const geom::PreparedRotation yaw_axis(base.rotation() * geom::Vec3{0, 1, 0});
+  const geom::PreparedRotation pitch_axis(base.rotation() *
+                                          geom::Vec3{1, 0, 0});
+  const geom::PreparedRotation roll_axis(base.rotation() *
+                                         geom::Vec3{0, 0, 1});
+
   Trace trace;
   trace.samples.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto t = static_cast<util::SimTimeUs>(
         static_cast<double>(i) * config.sample_period_ms * 1e3);
 
-    // Head orientation relative to the base: yaw about base-frame y (up),
-    // pitch about x, roll about z.
-    const geom::Mat3 head_rot =
-        geom::Mat3::rotation(base.rotation() * geom::Vec3{0, 1, 0}, yaw) *
-        geom::Mat3::rotation(base.rotation() * geom::Vec3{1, 0, 0}, pitch) *
-        geom::Mat3::rotation(base.rotation() * geom::Vec3{0, 0, 1}, roll);
+    const geom::Mat3 head_rot = yaw_axis.matrix(yaw) *
+                                pitch_axis.matrix(pitch) *
+                                roll_axis.matrix(roll);
     trace.samples.push_back(
         {t, geom::Pose{head_rot * base.rotation(),
                        base.translation() + offset}});
@@ -153,15 +158,16 @@ Trace generate_walking_trace(const geom::Pose& base,
   double gaze_yaw = 0.0, gaze_pitch = 0.0;
   double speed = 0.0;
 
+  const geom::PreparedRotation yaw_axis(base.rotation() * geom::Vec3{0, 1, 0});
+  const geom::PreparedRotation pitch_axis(base.rotation() *
+                                          geom::Vec3{1, 0, 0});
+
   for (std::size_t i = 0; i < n; ++i) {
     const auto t = static_cast<util::SimTimeUs>(
         static_cast<double>(i) * config.sample_period_ms * 1e3);
 
     const geom::Mat3 head_rot =
-        geom::Mat3::rotation(base.rotation() * geom::Vec3{0, 1, 0},
-                             yaw + gaze_yaw) *
-        geom::Mat3::rotation(base.rotation() * geom::Vec3{1, 0, 0},
-                             gaze_pitch);
+        yaw_axis.matrix(yaw + gaze_yaw) * pitch_axis.matrix(gaze_pitch);
     trace.samples.push_back(
         {t, geom::Pose{head_rot * base.rotation(), position}});
 

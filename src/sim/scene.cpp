@@ -15,7 +15,7 @@ Scene::Scene(SceneConfig config, galvo::GmaPhysical tx,
 
 galvo::GmaPhysical Scene::rx_world() const {
   galvo::GmaPhysical rx = rx_in_rig_;
-  rx.set_mount(rig_pose_ * rx_in_rig_.mount());
+  rx.set_mount(rx_mount_world());
   return rx;
 }
 
@@ -35,15 +35,18 @@ LinkObservation Scene::observe(const Voltages& v) const {
   LinkObservation obs;
 
   const auto beam = tx_.emit(v.tx1, v.tx2, config_.design.beam);
-  const auto capture = rx_world().capture_ray(v.rx1, v.rx2);
-  if (!beam || !capture) {
+  // The capture ray traced in the RX GMA's own frame, then carried into the
+  // world: rx_world().capture_ray() without copying the RX assembly.
+  const auto capture_local = rx_in_rig_.galvo().trace(v.rx1, v.rx2);
+  if (!beam || !capture_local) {
     obs.power = optics::compute_power(config_.sfp, config_.amplifier, {}, false);
     obs.power.rx_power_dbm = -std::numeric_limits<double>::infinity();
     return obs;
   }
 
-  const geom::Vec3 capture_point = capture->origin;
-  const geom::Vec3 accept_dir = capture->dir;
+  const geom::Ray capture = rx_mount_world().apply(*capture_local);
+  const geom::Vec3 capture_point = capture.origin;
+  const geom::Vec3 accept_dir = capture.dir;
 
   // The beam must travel toward the capture point, not away from it.
   const geom::Vec3 to_capture = capture_point - beam->chief.origin;
@@ -73,8 +76,7 @@ optics::QuadReading Scene::photodiodes(const Voltages& v) const {
   if (!beam) return {};
   // The quad array sits around the RX capture aperture (mirror 2 of the
   // RX GM), facing along the rig's boresight.
-  const galvo::GmaPhysical rx = rx_world();
-  const geom::Pose diode_pose = rx.mount();
+  const geom::Pose diode_pose = rx_mount_world();
   optics::QuadPhotodiode quad(diode_pose, config_.photodiode_arm_radius);
   if (segment_occluded(beam->chief.origin, diode_pose.translation())) return {};
   return quad.read(*beam);

@@ -72,8 +72,10 @@ class Scene {
   void set_rx_mount_in_rig(const geom::Pose& pose) { rx_in_rig_.set_mount(pose); }
   const galvo::GmaPhysical& rx_in_rig() const noexcept { return rx_in_rig_; }
 
-  /// The RX GMA with its mount composed into the *world* for the current
-  /// rig pose.
+  /// The RX GMA's mount composed into the *world* for the current rig pose.
+  geom::Pose rx_mount_world() const { return rig_pose_ * rx_in_rig_.mount(); }
+
+  /// The RX GMA mounted by rx_mount_world() (a copy of the assembly).
   galvo::GmaPhysical rx_world() const;
 
   const SceneConfig& config() const noexcept { return config_; }

@@ -1,8 +1,21 @@
 #include "stream/frame_source.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <sstream>
+#include <stdexcept>
 
 namespace cyclops::stream {
+
+util::SimTimeUs frame_period(double fps, const char* config) {
+  if (!std::isfinite(fps) || fps <= 0.0 || fps > 2e6) {
+    std::ostringstream message;
+    message << config << ".fps must be finite and in (0, 2e6] (a frame "
+            << "period of >= 1 us), got " << fps;
+    throw std::invalid_argument(message.str());
+  }
+  return static_cast<util::SimTimeUs>(std::llround(1e6 / fps));
+}
 
 std::optional<Frame> FrameSource::poll(util::SimTimeUs now) {
   if (now < next_time_) return std::nullopt;
@@ -12,7 +25,7 @@ std::optional<Frame> FrameSource::poll(util::SimTimeUs now) {
   const double jitter =
       config_.size_jitter > 0.0 ? rng_.normal(1.0, config_.size_jitter) : 1.0;
   frame.bits = config_.mean_frame_bits() * std::max(0.1, jitter);
-  next_time_ += config_.frame_period();
+  next_time_ += period_;
   return frame;
 }
 

@@ -15,6 +15,13 @@
 
 namespace cyclops::stream {
 
+/// The renderer's frame period, 1e6 / fps rounded to the nearest µs — the
+/// one frame clock FrameSource and StreamPipeline share.  Throws
+/// std::invalid_argument naming `<config>.fps` unless fps is finite and in
+/// (0, 2e6]: otherwise there is no period, or it rounds to 0 us and the
+/// clock never advances.
+util::SimTimeUs frame_period(double fps, const char* config);
+
 struct FrameSourceConfig {
   double fps = 90.0;
   double stream_rate_gbps = 20.0;
@@ -23,9 +30,6 @@ struct FrameSourceConfig {
 
   double mean_frame_bits() const noexcept {
     return stream_rate_gbps * 1e9 / fps;
-  }
-  util::SimTimeUs frame_period() const noexcept {
-    return static_cast<util::SimTimeUs>(1e6 / fps);
   }
 };
 
@@ -38,17 +42,23 @@ struct Frame {
 /// Emits frames on the renderer's clock.
 class FrameSource {
  public:
+  /// Throws std::invalid_argument naming FrameSourceConfig.fps for a rate
+  /// with no frame period (see frame_period()).
   FrameSource(FrameSourceConfig config, util::Rng rng)
-      : config_(config), rng_(rng) {}
+      : config_(config),
+        period_(stream::frame_period(config_.fps, "FrameSourceConfig")),
+        rng_(rng) {}
 
   /// The next frame whose render time is <= now, if due.
   std::optional<Frame> poll(util::SimTimeUs now);
 
   const FrameSourceConfig& config() const noexcept { return config_; }
+  util::SimTimeUs frame_period() const noexcept { return period_; }
   std::int64_t frames_emitted() const noexcept { return next_id_; }
 
  private:
   FrameSourceConfig config_;
+  util::SimTimeUs period_;
   util::Rng rng_;
   std::int64_t next_id_ = 0;
   util::SimTimeUs next_time_ = 0;

@@ -1,20 +1,20 @@
 #include "stream/pipeline.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "stream/frame_source.hpp"
+
 namespace cyclops::stream {
 
 namespace {
 
-/// Rejects configs the run cannot survive: slot <= 0, or an fps whose
-/// frame period rounds to 0 us (fps > 2e6), reschedules an event at the
-/// same microsecond forever; a non-finite or non-positive fps has no
-/// period; duration <= 0 divides by zero in the report.
+/// Rejects configs the run cannot survive: slot <= 0 reschedules an event
+/// at the same microsecond forever; duration <= 0 divides by zero in the
+/// report.  (frame_period() rejects an fps with no usable period.)
 PipelineConfig validated(PipelineConfig config) {
   const auto reject = [](const char* field, const char* rule, auto value) {
     std::ostringstream message;
@@ -23,10 +23,6 @@ PipelineConfig validated(PipelineConfig config) {
     throw std::invalid_argument(message.str());
   };
   if (config.slot <= 0) reject("slot", "> 0 us", config.slot);
-  if (!std::isfinite(config.fps) || config.fps <= 0.0 || config.fps > 2e6) {
-    reject("fps", "finite and in (0, 2e6] (a frame period of >= 1 us)",
-           config.fps);
-  }
   if (config.duration <= 0) reject("duration", "> 0 us", config.duration);
   return config;
 }
@@ -46,8 +42,7 @@ CapacityFn channel_capacity(
 StreamPipeline::StreamPipeline(PipelineConfig config,
                                const runtime::Context& ctx)
     : config_(validated(std::move(config))),
-      frame_period_(static_cast<util::SimTimeUs>(
-          std::llround(1e6 / config_.fps))),
+      frame_period_(frame_period(config_.fps, "PipelineConfig")),
       rng_(ctx.rng(kRngKey)),
       arena_(config_.arena),
       adapter_(config_.policy, ctx),

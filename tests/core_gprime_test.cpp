@@ -21,7 +21,8 @@ GmaModel perturbed_model(std::uint64_t seed) {
 TEST(GmaModelTest, TraceMatchesIdeal) {
   const GmaModel model = nominal_model();
   const auto a = model.trace(1.5, -2.0);
-  const auto b = galvo::trace_ideal(galvo::nominal_params(), 1.5, -2.0);
+  const galvo::PreparedGalvo ideal(galvo::nominal_params());
+  const auto b = galvo::trace_ideal(ideal, ideal.angles(1.5, -2.0));
   ASSERT_TRUE(a && b);
   EXPECT_NEAR(geom::distance(a->origin, b->origin), 0.0, 1e-15);
 }

@@ -18,6 +18,13 @@ namespace {
 
 GalvoMirror nominal_galvo() { return {nominal_params(), gvs102_spec()}; }
 
+/// The ideal G for one voltage pair, through a freshly prepared kernel.
+std::optional<geom::Ray> prepared_trace(const GalvoParams& params, double v1,
+                                        double v2) {
+  const PreparedGalvo galvo(params);
+  return trace_ideal(galvo, galvo.angles(v1, v2));
+}
+
 // ---- GalvoParams ----
 
 TEST(GalvoParamsTest, PackUnpackRoundTrip) {
@@ -111,7 +118,7 @@ TEST(GalvoMirrorTest, TraceIdealMatchesDeviceWithinAperture) {
   for (double v1 : {-4.0, 0.0, 4.0}) {
     for (double v2 : {-3.0, 0.0, 3.0}) {
       const auto dev = gm.trace(v1, v2);
-      const auto ideal = trace_ideal(gm.params(), v1, v2);
+      const auto ideal = prepared_trace(gm.params(), v1, v2);
       ASSERT_TRUE(dev && ideal);
       EXPECT_NEAR(geom::distance(dev->origin, ideal->origin), 0.0, 1e-12);
       EXPECT_NEAR(geom::angle_between(dev->dir, ideal->dir), 0.0, 1e-12);
@@ -120,9 +127,9 @@ TEST(GalvoMirrorTest, TraceIdealMatchesDeviceWithinAperture) {
 }
 
 TEST(GalvoMirrorTest, MirrorPlanesRotateWithVoltage) {
-  const GalvoMirror gm = nominal_galvo();
-  const geom::Plane p0 = gm.mirror1_plane(0.0);
-  const geom::Plane p1 = gm.mirror1_plane(2.0);
+  const PreparedGalvo gm(nominal_params());
+  const geom::Plane p0 = gm.mirror1.plane(MirrorAngle::at(0.0));
+  const geom::Plane p1 = gm.mirror1.plane(MirrorAngle::at(gm.theta1 * 2.0));
   EXPECT_NEAR(geom::angle_between(p0.normal, p1.normal),
               util::deg_to_rad(2.0), 1e-9);
   // The anchor point q is on the rotation axis, so it does not move.
@@ -340,7 +347,7 @@ TEST(PreparedKernelTest, BitIdenticalToUnpreparedTrace) {
       const double v1 = rng.uniform(-10.0, 10.0);
       const double v2 = rng.uniform(-10.0, 10.0);
       const auto oracle = oracle_trace_ideal(params, v1, v2);
-      expect_same_trace(oracle, trace_ideal(params, v1, v2));
+      expect_same_trace(oracle, prepared_trace(params, v1, v2));
       expect_same_trace(oracle, trace_ideal(prepared, prepared.angles(v1, v2)));
     }
   }
@@ -353,25 +360,25 @@ TEST(PreparedKernelTest, IdentityShortcutsMatch) {
     const double v = rng.uniform(-10.0, 10.0);
     // v == 0 on either mirror, and on both.
     expect_same_trace(oracle_trace_ideal(params, 0.0, v),
-                      trace_ideal(params, 0.0, v));
+                      prepared_trace(params, 0.0, v));
     expect_same_trace(oracle_trace_ideal(params, v, 0.0),
-                      trace_ideal(params, v, 0.0));
+                      prepared_trace(params, v, 0.0));
     expect_same_trace(oracle_trace_ideal(params, 0.0, 0.0),
-                      trace_ideal(params, 0.0, 0.0));
+                      prepared_trace(params, 0.0, 0.0));
     // theta1 == 0: both rotations are the identity at any voltage.
     GalvoParams still = params;
     still.theta1 = 0.0;
     expect_same_trace(oracle_trace_ideal(still, v, -v),
-                      trace_ideal(still, v, -v));
+                      prepared_trace(still, v, -v));
     // A zero rotation axis on either mirror.
     GalvoParams no_axis = params;
     no_axis.r1 = {0.0, 0.0, 0.0};
     expect_same_trace(oracle_trace_ideal(no_axis, v, v),
-                      trace_ideal(no_axis, v, v));
+                      prepared_trace(no_axis, v, v));
     no_axis = params;
     no_axis.r2 = {0.0, 0.0, 0.0};
     expect_same_trace(oracle_trace_ideal(no_axis, v, v),
-                      trace_ideal(no_axis, v, v));
+                      prepared_trace(no_axis, v, v));
   }
   // Negative zeros survive (or not) exactly as the identity matrix
   // product leaves them.  At angle 0 a Rodrigues matrix has signed-zero
@@ -386,7 +393,7 @@ TEST(PreparedKernelTest, IdentityShortcutsMatch) {
   signed_zeros.n1 = {-0.0, signed_zeros.n1.y, signed_zeros.n1.z};
   signed_zeros.n2 = {signed_zeros.n2.x, -0.0, signed_zeros.n2.z};
   expect_same_trace(oracle_trace_ideal(signed_zeros, 0.0, 0.0),
-                    trace_ideal(signed_zeros, 0.0, 0.0));
+                    prepared_trace(signed_zeros, 0.0, 0.0));
 }
 
 TEST(PreparedKernelTest, BeamParallelToMirrorIsNulloptOnBothSides) {
@@ -396,7 +403,7 @@ TEST(PreparedKernelTest, BeamParallelToMirrorIsNulloptOnBothSides) {
   params.n1 = {0.0, 1.0, 0.0};
   const auto oracle = oracle_trace_ideal(params, 0.0, 2.0);
   EXPECT_FALSE(oracle.has_value());
-  expect_same_trace(oracle, trace_ideal(params, 0.0, 2.0));
+  expect_same_trace(oracle, prepared_trace(params, 0.0, 2.0));
 
   // Mirror 2 edge-on to the beam mirror 1 reflects (at v1 = 0, with a
   // zero mirror-2 axis so the normal stays put at any v2).
@@ -406,7 +413,7 @@ TEST(PreparedKernelTest, BeamParallelToMirrorIsNulloptOnBothSides) {
   second.r2 = {0.0, 0.0, 0.0};
   const auto edge_on = oracle_trace_ideal(second, 0.0, 1.0);
   EXPECT_FALSE(edge_on.has_value());
-  expect_same_trace(edge_on, trace_ideal(second, 0.0, 1.0));
+  expect_same_trace(edge_on, prepared_trace(second, 0.0, 1.0));
 }
 
 TEST(PreparedKernelTest, GmaModelMatchesOracle) {
@@ -437,6 +444,167 @@ TEST(PreparedKernelTest, GmaModelMatchesOracle) {
       EXPECT_TRUE(same_bits(traced_n2, oracle_n2));
     }
   }
+}
+
+// ---- the plant: prepared kernel + hardware limits vs the per-call path ----
+
+/// Why the per-call plant returned what it did.
+enum class PlantOutcome {
+  kTraced,
+  kOutOfRange,
+  kMissedMirror1,
+  kClippedMirror1,
+  kMissedMirror2,
+  kClippedMirror2,
+  kCount
+};
+
+/// GalvoMirror::trace as it was before it ran on the prepared kernel: a
+/// Rodrigues matrix rebuilt for each mirror of every trace, forward-only
+/// reflections, and the clip check right after each bounce.
+std::optional<geom::Ray> oracle_plant_trace(const GalvoParams& params,
+                                            const GalvoSpec& spec, double v1,
+                                            double v2, PlantOutcome& outcome) {
+  const auto in_range = [&spec](double v) {
+    return v >= -spec.max_voltage && v <= spec.max_voltage;
+  };
+  const auto reflect_forward =
+      [](const geom::Ray& ray,
+         const geom::Plane& mirror) -> std::optional<geom::Ray> {
+    const auto t = geom::intersect(ray, mirror, /*forward_only=*/true);
+    if (!t) return std::nullopt;
+    const geom::Vec3 n = mirror.normal.normalized();
+    return geom::Ray{ray.at(*t), geom::reflect_dir(ray.dir, n)};
+  };
+  if (!in_range(v1) || !in_range(v2)) {
+    outcome = PlantOutcome::kOutOfRange;
+    return std::nullopt;
+  }
+  const geom::Ray input{params.p0, params.x0.normalized()};
+
+  const geom::Mat3 rot1 = oracle_rotation(params.r1, params.theta1 * v1);
+  const auto mid = reflect_forward(input, {params.q1, rot1 * params.n1});
+  if (!mid) {
+    outcome = PlantOutcome::kMissedMirror1;
+    return std::nullopt;
+  }
+  if (geom::distance(mid->origin, params.q1) > spec.mirror_radius) {
+    outcome = PlantOutcome::kClippedMirror1;
+    return std::nullopt;
+  }
+
+  const geom::Mat3 rot2 = oracle_rotation(params.r2, params.theta1 * v2);
+  const auto out = reflect_forward(*mid, {params.q2, rot2 * params.n2});
+  if (!out) {
+    outcome = PlantOutcome::kMissedMirror2;
+    return std::nullopt;
+  }
+  if (geom::distance(out->origin, params.q2) > spec.mirror_radius) {
+    outcome = PlantOutcome::kClippedMirror2;
+    return std::nullopt;
+  }
+  outcome = PlantOutcome::kTraced;
+  return out;
+}
+
+/// Voltage limits up to 12 V and clear radii from a 0.5 mm mirror up.
+GalvoSpec random_spec(util::Rng& rng) {
+  GalvoSpec spec = gvs102_spec();
+  spec.max_voltage = rng.uniform(2.0, 12.0);
+  spec.mirror_radius = rng.uniform(0.5e-3, 30e-3);
+  return spec;
+}
+
+TEST(PlantOracleTest, BitIdenticalToPerCallPlant) {
+  util::Rng rng(16);
+  int outcomes[static_cast<int>(PlantOutcome::kCount)] = {};
+  int parallel_misses = 0;
+  int cases = 0;
+  for (int i = 0; i < 1000; ++i) {
+    GalvoParams params = random_params(rng, i);
+    // Every fourth unit carries one degenerate feature: no rotation gain,
+    // a zero rotation axis, mirror 2 behind the beam mirror 1 reflects, or
+    // an input beam running in mirror 1's plane.
+    bool parallel = false;
+    switch (i % 16) {
+      case 3: params.theta1 = 0.0; break;
+      case 4: params.q2 = params.q1 * 2.0 - params.q2; break;
+      case 7: params.r1 = {0.0, 0.0, 0.0}; break;
+      case 11: params.r2 = {0.0, 0.0, 0.0}; break;
+      case 15:
+        params.x0 = geom::any_orthogonal(params.n1);
+        params.r1 = {0.0, 0.0, 0.0};
+        parallel = true;
+        break;
+      default: break;
+    }
+    const GalvoSpec spec = random_spec(rng);
+    const GalvoMirror gm(params, spec);
+    for (int k = 0; k < 5; ++k) {
+      double v1 = rng.uniform(-14.0, 14.0);
+      double v2 = rng.uniform(-14.0, 14.0);
+      if (k == 0) v1 = 0.0;
+      if (k == 1) v2 = 0.0;
+      if (k == 2) v1 = v2 = 0.0;
+      PlantOutcome outcome{};
+      const auto oracle = oracle_plant_trace(params, spec, v1, v2, outcome);
+      expect_same_trace(oracle, gm.trace(v1, v2));
+      ++outcomes[static_cast<int>(outcome)];
+      if (parallel && outcome == PlantOutcome::kMissedMirror1) {
+        ++parallel_misses;
+      }
+      ++cases;
+    }
+  }
+  EXPECT_GE(cases, 4000);
+  // Every way out of the plant was exercised, and so was a beam parallel to
+  // a mirror (the other misses are beams that meet a mirror behind them).
+  for (int o = 0; o < static_cast<int>(PlantOutcome::kCount); ++o) {
+    EXPECT_GT(outcomes[o], 0) << "outcome " << o;
+  }
+  EXPECT_GT(parallel_misses, 0);
+}
+
+// ---- G's rigid-motion equivariance ----
+
+/// Angle between two unit directions, accurate near zero (acos is not).
+double direction_error(const geom::Vec3& a, const geom::Vec3& b) {
+  return std::atan2(a.cross(b).norm(), a.dot(b));
+}
+
+TEST(GmaEquivarianceTest, TransformedModelTracesTransformedBeam) {
+  // G(M p)(v) == M G(p)(v) for any rigid motion M: the Stage-2 mapping
+  // parameters rely on it.  Manufactured units keep both bounces
+  // well-conditioned, so rounding stays far below 1e-12.
+  util::Rng rng(31);
+  int traced = 0;
+  for (int i = 0; i < 200; ++i) {
+    const GalvoParams params = perturbed_params(nominal_params(), {}, rng);
+    const core::GmaModel model(params);
+    const geom::Pose map{geom::Mat3::rotation(random_vec(rng, 1.0),
+                                              rng.uniform(-3.0, 3.0)),
+                         random_vec(rng, 3.0)};
+    const core::GmaModel moved = model.transformed(map);
+    const GalvoMirror plant(params, gvs102_spec());
+    for (int k = 0; k < 5; ++k) {
+      const double v1 = rng.uniform(-10.0, 10.0);
+      const double v2 = rng.uniform(-10.0, 10.0);
+      const auto local = model.trace(v1, v2);
+      const auto in_parent = moved.trace(v1, v2);
+      ASSERT_TRUE(local && in_parent);
+      const geom::Ray expected = map.apply(*local);
+      EXPECT_LE(geom::distance(in_parent->origin, expected.origin), 1e-12);
+      EXPECT_LE(direction_error(in_parent->dir, expected.dir), 1e-12);
+
+      // Inside the clear aperture the plant is the model, bit for bit.
+      const auto physical = plant.trace(v1, v2);
+      if (physical) {
+        expect_same_trace(local, physical);
+        ++traced;
+      }
+    }
+  }
+  EXPECT_GT(traced, 500);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 
 #include "motion/profile.hpp"
@@ -334,6 +336,109 @@ TEST(WalkingTraceTest, AngularSpeedsArePhysical) {
   const TraceSpeeds speeds = compute_speeds(trace);
   for (double w : speeds.angular_rps) {
     EXPECT_LT(w, util::deg_to_rad(120.0));  // no white-noise head spins
+  }
+}
+
+// ---- output bits ----
+//
+// FNV-1a over the raw bits of every pose the generators emit, pinned to
+// the values the per-sample Mat3::rotation code produced.  Any change to
+// the rotation arithmetic that moves a single ulp moves these hashes.
+
+class PoseHash {
+ public:
+  void add(double value) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (bits >> (8 * i)) & 0xffu;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void add(util::SimTimeUs t, const geom::Pose& pose) {
+    add(static_cast<double>(t));
+    for (const auto& row : pose.rotation().m) {
+      for (double v : row) add(v);
+    }
+    add(pose.translation().x);
+    add(pose.translation().y);
+    add(pose.translation().z);
+  }
+  std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+constexpr std::uint64_t kSeeds[] = {1, 29, 2022};
+
+/// A base tilted about a generic axis, so no head axis lies along a
+/// coordinate axis (where reassociated products would agree exactly).
+const geom::Pose kTiltedBase{geom::Mat3::rotation({0.3, 1.0, -0.2}, 0.7),
+                             {0.1, 0.8, 1.2}};
+
+std::uint64_t viewing_hash(std::uint64_t seed) {
+  util::Rng rng(seed);
+  TraceGeneratorConfig config;
+  config.duration_s = 5.0;
+  PoseHash hash;
+  for (const auto& s :
+       generate_viewing_trace(kTiltedBase, config, rng).samples) {
+    hash.add(s.time, s.pose);
+  }
+  return hash.value();
+}
+
+std::uint64_t walking_hash(std::uint64_t seed) {
+  util::Rng rng(seed);
+  WalkingConfig config;
+  config.duration_s = 5.0;
+  config.face_walk_direction = true;
+  PoseHash hash;
+  for (const auto& s :
+       generate_walking_trace(kTiltedBase, config, rng).samples) {
+    hash.add(s.time, s.pose);
+  }
+  return hash.value();
+}
+
+std::uint64_t angular_stroke_hash(std::uint64_t seed) {
+  util::Rng rng(seed);
+  const geom::Vec3 axis{rng.normal(), rng.normal(), rng.normal()};
+  const AngularStrokeMotion profile(kTiltedBase, axis, rng.uniform(0.1, 0.5),
+                                    {rng.uniform(0.1, 0.4),
+                                     rng.uniform(0.4, 0.8)},
+                                    0.1);
+  PoseHash hash;
+  for (util::SimTimeUs t = 0; t <= util::us_from_s(profile.duration_s());
+       t += 7919) {
+    hash.add(t, profile.pose_at(t));
+  }
+  return hash.value();
+}
+
+TEST(MotionBitsTest, ViewingTraceBitsArePinned) {
+  const std::uint64_t expected[] = {
+      2353792705325701241ull, 4537931820610066442ull, 9826461156400203610ull};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(viewing_hash(kSeeds[i]), expected[i]) << "seed " << kSeeds[i];
+  }
+}
+
+TEST(MotionBitsTest, WalkingTraceBitsArePinned) {
+  const std::uint64_t expected[] = {
+      9494904712766831091ull, 99997652168990894ull, 5934191693476662875ull};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(walking_hash(kSeeds[i]), expected[i]) << "seed " << kSeeds[i];
+  }
+}
+
+TEST(MotionBitsTest, AngularStrokeBitsArePinned) {
+  const std::uint64_t expected[] = {
+      17180998180232109285ull, 10384835470264131910ull, 14958352921375148462ull};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(angular_stroke_hash(kSeeds[i]), expected[i])
+        << "seed " << kSeeds[i];
   }
 }
 

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "obs/obs.hpp"
 #include "stream/frame_source.hpp"
@@ -85,6 +88,40 @@ TEST(FrameSourceTest, NotDueReturnsNull) {
                      util::Rng(4));
   ASSERT_TRUE(source.poll(0).has_value());
   EXPECT_FALSE(source.poll(1).has_value());  // next frame ~11.1 ms away
+}
+
+TEST(FrameSourceTest, RejectsFpsWithoutAPositivePeriod) {
+  // 0, negative and non-finite rates have no frame period; above 2e6 fps
+  // the period rounds to 0 us and every poll would emit a frame.
+  for (const double fps : {0.0, -90.0, 2.5e6,
+                           std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    std::string message;
+    try {
+      FrameSource source({.fps = fps}, util::Rng(1));
+    } catch (const std::invalid_argument& e) {
+      message = e.what();
+    }
+    EXPECT_NE(message.find("FrameSourceConfig.fps"), std::string::npos)
+        << "fps " << fps << ": '" << message << "'";
+  }
+  // The boundary itself still has a 1 us period and is accepted.
+  EXPECT_EQ(FrameSource({.fps = 2e6}, util::Rng(1)).frame_period(), 1);
+}
+
+TEST(FrameSourceTest, FrameClockMatchesPipelineAt60Fps) {
+  // 1e6 / 60 = 16666.7 us: the source rounds to the same period the
+  // stream pipeline's vsync uses (frame_period), not down to 16666.
+  FrameSource source({.fps = 60.0, .stream_rate_gbps = 20.0}, util::Rng(1));
+  EXPECT_EQ(source.frame_period(), 16667);
+  EXPECT_EQ(source.frame_period(), frame_period(60.0, "PipelineConfig"));
+  ASSERT_TRUE(source.poll(0).has_value());
+  EXPECT_FALSE(source.poll(16666).has_value());
+  const auto second = source.poll(16667);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->render_time, 16667);
+  // 90 fps is 11111 us whether rounded or truncated.
+  EXPECT_EQ(FrameSource({.fps = 90.0}, util::Rng(1)).frame_period(), 11111);
 }
 
 // ---- WireQueue + FreezeLedger ----
