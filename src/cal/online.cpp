@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstddef>
+#include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "core/pointing.hpp"
@@ -276,11 +278,17 @@ class RecalSession final : public event::Process {
     win_refit_ = win_refit_ || recal_.refit_active();
 
     if constexpr (obs::kEnabled) {
+      // Handles resolve on first use, so the session exports exactly the
+      // series it touches, then stay for the rest of the session.
       obs::Registry& reg = ctx_->registry();
-      reg.counter("cal_slots_total").inc();
+      if (!slots_total_) slots_total_ = &reg.counter("cal_slots_total");
+      slots_total_->inc();
       if (std::isfinite(margin)) {
-        reg.histogram("cal_margin_db", obs::HistogramSpec::linear(-20.25, 0.5, 96))
-            .record(margin);
+        if (!margin_db_) {
+          margin_db_ = &reg.histogram(
+              "cal_margin_db", obs::HistogramSpec::linear(-20.25, 0.5, 96));
+        }
+        margin_db_->record(margin);
       }
     }
 
@@ -298,7 +306,10 @@ class RecalSession final : public event::Process {
       if (polished > sensitivity_) {
         recal_.admit({v, psi});
         if constexpr (obs::kEnabled) {
-          ctx_->registry().counter("cal_samples_admitted_total").inc();
+          if (!admitted_) {
+            admitted_ = &ctx_->registry().counter("cal_samples_admitted_total");
+          }
+          admitted_->inc();
         }
       }
     }
@@ -402,13 +413,47 @@ class RecalSession final : public event::Process {
   bool win_refit_down_ = false;
 
   OnlineRecalResult result_;
+  obs::Counter* slots_total_ = nullptr;
+  obs::Histogram* margin_db_ = nullptr;
+  obs::Counter* admitted_ = nullptr;
 };
+
+/// Rejects configs the session cannot run: a zero sample or window period
+/// divides by zero; a non-positive slot or refit interval reschedules at
+/// the same instant forever; a negative, non-finite or huge duration
+/// overflows the slot count; zero refit iterations per event ends a refit without
+/// fitting; and a refit that needs more samples than the ring holds
+/// never starts.
+void validate(const OnlineRecalConfig& c) {
+  const auto check = [](bool ok, const char* field, const char* rule,
+                        auto value) {
+    if (ok) return;
+    std::ostringstream message;
+    message << "OnlineRecalConfig." << field << " must be " << rule
+            << ", got " << value;
+    throw std::invalid_argument(message.str());
+  };
+  check(c.sample_every_slots > 0, "sample_every_slots", "> 0",
+        c.sample_every_slots);
+  check(c.window_slots > 0, "window_slots", "> 0", c.window_slots);
+  check(c.slot_us > 0, "slot_us", "> 0 us", c.slot_us);
+  check(std::isfinite(c.duration_s) && c.duration_s >= 0.0 &&
+            c.duration_s * 1e6 / static_cast<double>(c.slot_us) < 0x1p63,
+        "duration_s", "finite, >= 0 and under 2^63 slots", c.duration_s);
+  check(c.fit_iters_per_event > 0, "fit_iters_per_event", "> 0",
+        c.fit_iters_per_event);
+  check(c.fit_interval_us > 0, "fit_interval_us", "> 0 us",
+        c.fit_interval_us);
+  check(c.refit.min_samples <= c.refit.buffer_capacity, "refit.min_samples",
+        "<= refit.buffer_capacity", c.refit.min_samples);
+}
 
 }  // namespace
 
 OnlineRecalResult run_online_recal_session(
     sim::Prototype& proto, const core::CalibrationResult& calibration,
     const OnlineRecalConfig& config, const runtime::Context& ctx) {
+  validate(config);
   session::ScopedScheduler lease(session::bind_session_clock(ctx));
   event::Scheduler& sched = lease.get();
 

@@ -174,7 +174,9 @@ struct OnlineRecalResult {
 /// sees the *identical* slot stream, so twin runs isolate exactly the
 /// recalibration effect.  The scheduler rides ctx.clock() (reset to 0),
 /// the solver and refits run on ctx.pool(), and the cal_* metrics land
-/// in ctx.registry().
+/// in ctx.registry().  Throws std::invalid_argument naming
+/// `OnlineRecalConfig.<field>` for a period, cadence or duration the
+/// session cannot run, or a refit.min_samples above refit.buffer_capacity.
 OnlineRecalResult run_online_recal_session(
     sim::Prototype& proto, const core::CalibrationResult& calibration,
     const OnlineRecalConfig& config, const runtime::Context& ctx);

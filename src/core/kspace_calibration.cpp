@@ -1,65 +1,36 @@
 #include "core/kspace_calibration.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <memory>
-#include <mutex>
 
 #include "galvo/factory.hpp"
 #include "geom/ray.hpp"
+#include "opt/stage_memo.hpp"
 
 namespace cyclops::core {
 namespace {
 
 const geom::Plane kBoardPlane{{0, 0, 0}, {0, 0, 1}};
 
-std::optional<geom::Vec3> board_hit(const GmaModel& model,
-                                    const galvo::MirrorAngles& angles) {
-  const auto ray = model.trace(angles);
+std::optional<geom::Vec3> board_hit(const std::optional<geom::Ray>& ray) {
   if (!ray) return std::nullopt;
   const auto t = geom::intersect(*ray, kBoardPlane, /*forward_only=*/false);
   if (!t) return std::nullopt;
   return ray->at(*t);
 }
 
-/// Every sample's mirror angles at one theta1.  A central-difference
-/// Jacobian leaves theta1 untouched in all but one of its 25 columns, so
-/// the Stage-1 residual keeps the last table and reuses it while theta1's
-/// bits are unchanged.
-struct TrigTable {
-  std::uint64_t theta1_bits = 0;
-  std::vector<galvo::MirrorAngles> angles;
-};
-
-/// The last table, shared by every copy of the residual function and
-/// every pool worker evaluating it.  Tables are immutable once published;
-/// a worker that misses builds its own and publishes it, so a hit and a
-/// miss hand the residual the same bits at any pool width.
-class TrigCache {
- public:
-  std::shared_ptr<const TrigTable> lookup(
-      const std::vector<BoardSample>& samples, double theta1) {
-    const auto bits = std::bit_cast<std::uint64_t>(theta1);
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (last_ && last_->theta1_bits == bits) return last_;
-    }
-    auto table = std::make_shared<TrigTable>();
-    table->theta1_bits = bits;
-    table->angles.reserve(samples.size());
-    for (const auto& s : samples) {
-      table->angles.push_back(galvo::MirrorAngles::at(theta1, s.v1, s.v2));
-    }
-    const std::lock_guard<std::mutex> lock(mu_);
-    last_ = table;
-    return table;
-  }
-
- private:
-  std::mutex mu_;
-  std::shared_ptr<const TrigTable> last_;
+/// The Stage-1 residual's memoized stages of G, each a per-sample table
+/// keyed on exactly the packed parameters it reads (pack() order: p0 0-2,
+/// x0 3-5, n1 6-8, q1 9-11, r1 12-14, n2 15-17, q2 18-20, r2 21-23,
+/// theta1 24).  Only the second bounce and the board hit run in every
+/// evaluation.
+struct KSpaceStages {
+  opt::StageMemo<std::vector<galvo::MirrorAngles>, 1> angles;  // theta1
+  // n1, r1, theta1 and n2, r2, theta1
+  opt::StageMemo<std::vector<galvo::MirrorNormal>, 7> normals1, normals2;
+  // p0, x0, n1, q1, r1, theta1
+  opt::StageMemo<std::vector<std::optional<geom::Ray>>, 16> bounce1;
 };
 
 }  // namespace
@@ -117,7 +88,7 @@ std::vector<BoardSample> collect_board_samples(
 }
 
 double board_error(const GmaModel& model, const BoardSample& sample) {
-  const auto hit = board_hit(model, model.angles(sample.v1, sample.v2));
+  const auto hit = board_hit(model.trace(sample.v1, sample.v2));
   if (!hit) return 1.0;  // 1 m penalty for a degenerate trace
   const double dx = hit->x - sample.x;
   const double dy = hit->y - sample.y;
@@ -127,16 +98,52 @@ double board_error(const GmaModel& model, const BoardSample& sample) {
 KSpaceFitProblem make_kspace_problem(const std::vector<BoardSample>& samples,
                                      const GmaModel& initial_guess) {
   KSpaceFitProblem problem;
-  problem.residuals = [&samples, cache = std::make_shared<TrigCache>()](
+  // The stages are shared by every copy of the function and every worker.
+  problem.residuals = [&samples, stages = std::make_shared<KSpaceStages>()](
                           std::span<const double> params,
                           std::vector<double>& residuals) {
-    std::array<double, galvo::GalvoParams::kParamCount> packed{};
-    std::copy(params.begin(), params.end(), packed.begin());
-    const GmaModel model(galvo::GalvoParams::unpack(packed));
-    const auto trig = cache->lookup(samples, model.params().theta1);
+    std::array<double, galvo::GalvoParams::kParamCount> p{};
+    std::copy(params.begin(), params.end(), p.begin());
+    const galvo::PreparedGalvo galvo(galvo::GalvoParams::unpack(p));
+    const double theta1 = p[24];
+    const auto angles = [&] {
+      return stages->angles.get({theta1}, [&] {
+        return opt::tabulate(samples.size(), [&](std::size_t s) {
+          return galvo::MirrorAngles::at(theta1, samples[s].v1, samples[s].v2);
+        });
+      });
+    };
+    // A mirror's rotated normals: its normal is packed at n_at, its axis
+    // six doubles later.
+    const auto normals = [&](auto& stage, const galvo::PreparedMirror& mirror,
+                             std::size_t n_at,
+                             galvo::MirrorAngle galvo::MirrorAngles::*m) {
+      const auto build = [&] {
+        const auto table = angles();
+        return opt::tabulate(samples.size(), [&](std::size_t s) {
+          return galvo::MirrorNormal(mirror.normal((*table)[s].*m));
+        });
+      };
+      return stage.get({p[n_at], p[n_at + 1], p[n_at + 2], p[n_at + 6],
+                        p[n_at + 7], p[n_at + 8], theta1},
+                       build);
+    };
+    const auto n2 =
+        normals(stages->normals2, galvo.mirror2, 15, &galvo::MirrorAngles::m2);
+    decltype(stages->bounce1)::Key key{};
+    std::copy_n(p.begin(), 15, key.begin());
+    key[15] = theta1;
+    const auto bounce1 = stages->bounce1.get(key, [&] {
+      const auto n1 = normals(stages->normals1, galvo.mirror1, 6,
+                              &galvo::MirrorAngles::m1);
+      return opt::tabulate(samples.size(), [&](std::size_t s) {
+        return galvo::first_bounce(galvo, (*n1)[s]);
+      });
+    });
     residuals.resize(samples.size() * 2);
     for (std::size_t s = 0; s < samples.size(); ++s) {
-      const auto hit = board_hit(model, trig->angles[s]);
+      const auto hit =
+          board_hit(galvo::second_bounce(galvo, (*bounce1)[s], (*n2)[s]));
       if (hit) {
         residuals[2 * s] = hit->x - samples[s].x;
         residuals[2 * s + 1] = hit->y - samples[s].y;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "geom/ray.hpp"
+#include "opt/stage_memo.hpp"
 
 namespace cyclops::core {
 namespace {
@@ -32,34 +34,46 @@ std::pair<geom::Pose, geom::Pose> unpack_maps(std::span<const double> v) {
   return {geom::Pose::from_params(a), geom::Pose::from_params(b)};
 }
 
-}  // namespace
+/// One GMA's half of Lemma 1 for one sample: the beam its VR-space model
+/// emits and its mirror-2 plane, the opposite beam's target.
+struct LemmaSide {
+  std::optional<geom::Ray> ray;
+  geom::Plane mirror2;
+};
 
-LemmaPoints lemma_points(const GmaModel& tx_vr, const GmaModel& rx_vr,
-                         const sim::Voltages& v) {
-  return lemma_points(tx_vr, rx_vr, tx_vr.angles(v.tx1, v.tx2),
-                      rx_vr.angles(v.rx1, v.rx2));
+/// The half at precomputed mirror angles (vr.angles(v1, v2)).  The trace
+/// hands back its mirror-2 normal, which it has already rotated.
+LemmaSide lemma_side(const GmaModel& vr, const galvo::MirrorAngles& angles) {
+  LemmaSide side;
+  geom::Vec3 n2;
+  side.ray = vr.trace(angles, &n2);
+  side.mirror2 = {vr.params().q2, n2};
+  return side;
 }
 
-LemmaPoints lemma_points(const GmaModel& tx_vr, const GmaModel& rx_vr,
-                         const galvo::MirrorAngles& tx,
-                         const galvo::MirrorAngles& rx) {
+/// Lemma 1's points from the two halves: each beam's hit on the other's
+/// mirror-2 plane.
+LemmaPoints lemma_points(const LemmaSide& tx, const LemmaSide& rx) {
   LemmaPoints pts;
-  // Each trace hands back its mirror-2 normal: the opposite beam's target
-  // plane, which the trace has already rotated.
-  geom::Vec3 tx_n2, rx_n2;
-  const auto ray_t = tx_vr.trace(tx, &tx_n2);
-  const auto ray_r = rx_vr.trace(rx, &rx_n2);
-  if (!ray_t || !ray_r) return pts;
-  pts.p_t = ray_t->origin;
-  pts.p_r = ray_r->origin;
+  if (!tx.ray || !rx.ray) return pts;
+  pts.p_t = tx.ray->origin;
+  pts.p_r = rx.ray->origin;
 
-  const auto tau_t = hit_on_plane(ray_t, {rx_vr.params().q2, rx_n2});
-  const auto tau_r = hit_on_plane(ray_r, {tx_vr.params().q2, tx_n2});
+  const auto tau_t = hit_on_plane(tx.ray, rx.mirror2);
+  const auto tau_r = hit_on_plane(rx.ray, tx.mirror2);
   if (!tau_t || !tau_r) return pts;
   pts.tau_t = *tau_t;
   pts.tau_r = *tau_r;
   pts.valid = true;
   return pts;
+}
+
+}  // namespace
+
+LemmaPoints lemma_points(const GmaModel& tx_vr, const GmaModel& rx_vr,
+                         const sim::Voltages& v) {
+  return lemma_points(lemma_side(tx_vr, tx_vr.angles(v.tx1, v.tx2)),
+                      lemma_side(rx_vr, rx_vr.angles(v.rx1, v.rx2)));
 }
 
 MappingFitProblem make_mapping_problem(const GmaModel& tx_kspace,
@@ -69,28 +83,44 @@ MappingFitProblem make_mapping_problem(const GmaModel& tx_kspace,
                                        const geom::Pose& rx_guess) {
   // The mappings move the models rigidly and leave theta1 alone, so every
   // sample's mirror angles are fixed for the whole solve.
-  std::vector<galvo::MirrorAngles> tx_angles, rx_angles;
-  tx_angles.reserve(samples.size());
-  rx_angles.reserve(samples.size());
-  for (const auto& sample : samples) {
-    const sim::Voltages& v = sample.voltages;
-    tx_angles.push_back(tx_kspace.angles(v.tx1, v.tx2));
-    rx_angles.push_back(rx_kspace.angles(v.rx1, v.rx2));
-  }
+  auto tx_angles = opt::tabulate(samples.size(), [&](std::size_t s) {
+    return tx_kspace.angles(samples[s].voltages.tx1, samples[s].voltages.tx2);
+  });
+  auto rx_angles = opt::tabulate(samples.size(), [&](std::size_t s) {
+    return rx_kspace.angles(samples[s].voltages.rx1, samples[s].voltages.rx2);
+  });
+  // Each map's half of Lemma 1, memoized on that map's 6 parameters (and
+  // shared by every copy of the function and every pool worker): a TX
+  // Jacobian column reuses the RX half, and an RX column the TX half.
+  using SideMemo = opt::StageMemo<std::vector<LemmaSide>, 6>;
   MappingFitProblem problem;
   problem.residuals = [&tx_kspace, &rx_kspace, &samples,
                        tx_angles = std::move(tx_angles),
-                       rx_angles = std::move(rx_angles)](
+                       rx_angles = std::move(rx_angles),
+                       tx_memo = std::make_shared<SideMemo>(),
+                       rx_memo = std::make_shared<SideMemo>()](
                           std::span<const double> params,
                           std::vector<double>& residuals) {
-    const auto [map_tx, map_rx] = unpack_maps(params);
-    const GmaModel tx_vr = tx_kspace.transformed(map_tx);
+    SideMemo::Key tx_key{}, rx_key{};
+    std::copy_n(params.begin(), 6, tx_key.begin());
+    std::copy_n(params.begin() + 6, 6, rx_key.begin());
+    const auto tx = tx_memo->get(tx_key, [&] {
+      const GmaModel tx_vr =
+          tx_kspace.transformed(geom::Pose::from_params(tx_key));
+      return opt::tabulate(samples.size(), [&](std::size_t s) {
+        return lemma_side(tx_vr, tx_angles[s]);
+      });
+    });
+    const auto rx = rx_memo->get(rx_key, [&] {
+      const geom::Pose map_rx = geom::Pose::from_params(rx_key);
+      return opt::tabulate(samples.size(), [&](std::size_t s) {
+        return lemma_side(rx_kspace.transformed(samples[s].psi * map_rx),
+                          rx_angles[s]);
+      });
+    });
     residuals.resize(samples.size() * 6);
     for (std::size_t s = 0; s < samples.size(); ++s) {
-      const GmaModel rx_vr =
-          rx_kspace.transformed(samples[s].psi * map_rx);
-      const LemmaPoints pts =
-          lemma_points(tx_vr, rx_vr, tx_angles[s], rx_angles[s]);
+      const LemmaPoints pts = lemma_points((*tx)[s], (*rx)[s]);
       double* r = residuals.data() + 6 * s;
       if (pts.valid) {
         const geom::Vec3 d1 = pts.tau_r - pts.p_t;

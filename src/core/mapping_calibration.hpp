@@ -47,12 +47,6 @@ struct LemmaPoints {
 LemmaPoints lemma_points(const GmaModel& tx_vr, const GmaModel& rx_vr,
                          const sim::Voltages& v);
 
-/// The same at precomputed mirror angles (tx_vr.angles(v.tx1, v.tx2),
-/// rx_vr.angles(v.rx1, v.rx2)), for residuals that reuse them.
-LemmaPoints lemma_points(const GmaModel& tx_vr, const GmaModel& rx_vr,
-                         const galvo::MirrorAngles& tx,
-                         const galvo::MirrorAngles& rx);
-
 struct MappingFitReport {
   geom::Pose map_tx;  ///< Learned K_tx -> VR.
   geom::Pose map_rx;  ///< Learned K_rx -> X-frame.
@@ -68,7 +62,8 @@ struct MappingFitReport {
 /// recalibrator) can run the same problem one LM iteration at a time.
 /// The residual function captures `tx_kspace`, `rx_kspace`, and `samples`
 /// by reference: all three must outlive the returned problem, unchanged
-/// (the samples' mirror angles are computed once, here).
+/// (the samples' mirror angles are computed once, here, and each map's
+/// half of Lemma 1 is memoized on that map's 6 parameters).
 struct MappingFitProblem {
   opt::ResidualFn residuals;
   std::vector<double> initial;

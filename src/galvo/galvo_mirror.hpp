@@ -124,22 +124,42 @@ struct PreparedGalvo {
 // calibration, and out of line its per-mirror and per-reflection calls
 // cost about a quarter of an install's time.
 
-/// The ideal G — both reflections with no aperture or voltage-range
-/// checks — given both mirrors' rotated normals (as returned by
-/// PreparedMirror::normal), for callers that also need mirror 2's plane.
+/// A rotated mirror normal (PreparedMirror::normal) and the unit vector a
+/// reflection off that mirror reads.
+struct MirrorNormal {
+  explicit MirrorNormal(const geom::Vec3& rotated)
+      : n(rotated), unit(rotated.normalized()) {}
+  geom::Vec3 n, unit;
+};
+
+// G's two stages, each the *algebraic* (non-forward-only) reflection with
+// no aperture or voltage-range check: the closed-form G of §4.1 is a total
+// function of the voltages, and the learned estimates must stay evaluable
+// while the optimizer explores beyond the trained region.
+
+/// The input beam off mirror 1.
+inline std::optional<geom::Ray> first_bounce(const PreparedGalvo& galvo,
+                                             const MirrorNormal& mirror1) {
+  return geom::reflect({galvo.p0, galvo.x0}, {galvo.mirror1.q, mirror1.n},
+                       mirror1.unit, /*forward_only=*/false);
+}
+
+/// The first bounce off mirror 2: G's output beam.
+inline std::optional<geom::Ray> second_bounce(
+    const PreparedGalvo& galvo, const std::optional<geom::Ray>& mid,
+    const MirrorNormal& mirror2) {
+  if (!mid) return std::nullopt;
+  return geom::reflect(*mid, {galvo.mirror2.q, mirror2.n}, mirror2.unit,
+                       /*forward_only=*/false);
+}
+
+/// The ideal G given both mirrors' rotated normals, for callers that also
+/// need mirror 2's plane.
 inline std::optional<geom::Ray> trace_ideal(const PreparedGalvo& galvo,
                                             const geom::Vec3& mirror1_normal,
                                             const geom::Vec3& mirror2_normal) {
-  // The *algebraic* (non-forward-only) ray/plane solution: the closed-form
-  // G of §4.1 is a total function of the voltages, and the learned
-  // parameter estimates must stay evaluable while the optimizer explores
-  // (or mildly extrapolates beyond) the trained region.
-  const auto mid = geom::reflect({galvo.p0, galvo.x0},
-                                 {galvo.mirror1.q, mirror1_normal},
-                                 /*forward_only=*/false);
-  if (!mid) return std::nullopt;
-  return geom::reflect(*mid, {galvo.mirror2.q, mirror2_normal},
-                       /*forward_only=*/false);
+  return second_bounce(galvo, first_bounce(galvo, MirrorNormal(mirror1_normal)),
+                       MirrorNormal(mirror2_normal));
 }
 
 /// The ideal G at precomputed mirror angles.

@@ -18,13 +18,19 @@ inline Vec3 reflect_dir(const Vec3& dir, const Vec3& unit_normal) {
 /// Reflects `incoming` off the mirror plane.  Returns the outgoing ray whose
 /// origin is the hit point on the mirror, or nullopt if the ray misses the
 /// plane: parallel to it, or (with forward_only) hitting it behind the
-/// origin.  Inline: the G kernel reflects twice per trace.
+/// origin.  `unit_normal` is mirror.normal.normalized(), for callers that
+/// reflect many rays off one plane.  Inline: the G kernel reflects twice
+/// per trace.
 inline std::optional<Ray> reflect(const Ray& incoming, const Plane& mirror,
-                                  bool forward_only = true) {
+                                  const Vec3& unit_normal, bool forward_only) {
   const auto t = intersect(incoming, mirror, forward_only);
   if (!t) return std::nullopt;
-  return Ray{incoming.at(*t),
-             reflect_dir(incoming.dir, mirror.normal.normalized())};
+  return Ray{incoming.at(*t), reflect_dir(incoming.dir, unit_normal)};
+}
+
+inline std::optional<Ray> reflect(const Ray& incoming, const Plane& mirror,
+                                  bool forward_only = true) {
+  return reflect(incoming, mirror, mirror.normal.normalized(), forward_only);
 }
 
 }  // namespace cyclops::geom

@@ -4,14 +4,18 @@
 // Stage-2 mapping in flight, recovers >= 90 % of the loss, and never has
 // a down slot while a refit is active.
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cal/online.hpp"
 #include "core/calibration.hpp"
 #include "core/drift_monitor.hpp"
+#include "obs/registry.hpp"
 #include "runtime/context.hpp"
 #include "sim/prototype.hpp"
 
@@ -213,6 +217,92 @@ TEST(OnlineRecalibratorTest, RefitPendingNeedsLatchAndSamples) {
   EXPECT_TRUE(recal.refit_pending());
   recal.monitor().reset();
   EXPECT_FALSE(recal.refit_pending());
+}
+
+// ---- OnlineRecalConfig validation ----
+
+struct ConfigCase {
+  const char* field;
+  std::function<void(cal::OnlineRecalConfig&)> spoil;
+};
+
+TEST(OnlineRecalConfigTest, RejectsEachBadFieldByName) {
+  sim::Prototype proto = sim::make_prototype(211, sim::prototype_25g_config());
+  const core::CalibrationResult calibration = truth_calibration(proto);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<ConfigCase> cases = {
+      {"sample_every_slots", [](auto& c) { c.sample_every_slots = 0; }},
+      {"sample_every_slots", [](auto& c) { c.sample_every_slots = -4; }},
+      {"window_slots", [](auto& c) { c.window_slots = 0; }},
+      {"slot_us", [](auto& c) { c.slot_us = 0; }},
+      {"slot_us", [](auto& c) { c.slot_us = -1000; }},
+      {"duration_s", [=](auto& c) { c.duration_s = nan; }},
+      {"duration_s", [=](auto& c) { c.duration_s = inf; }},
+      {"duration_s", [](auto& c) { c.duration_s = -1.0; }},
+      {"duration_s", [](auto& c) { c.duration_s = 1e300; }},
+      {"fit_iters_per_event", [](auto& c) { c.fit_iters_per_event = 0; }},
+      {"fit_iters_per_event", [](auto& c) { c.fit_iters_per_event = -6; }},
+      {"fit_interval_us", [](auto& c) { c.fit_interval_us = 0; }},
+      {"fit_interval_us", [](auto& c) { c.fit_interval_us = -500; }},
+      {"refit.min_samples",
+       [](auto& c) { c.refit.min_samples = c.refit.buffer_capacity + 1; }},
+  };
+  for (const ConfigCase& bad : cases) {
+    cal::OnlineRecalConfig config;
+    bad.spoil(config);
+    const std::string field = std::string("OnlineRecalConfig.") + bad.field;
+    try {
+      cal::run_online_recal_session(proto, calibration, config,
+                                    runtime::Context::isolated());
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << "message \"" << e.what() << "\" does not name " << field;
+    }
+  }
+}
+
+TEST(OnlineRecalConfigTest, AcceptsTheBoundaryValues) {
+  sim::Prototype proto = sim::make_prototype(211, sim::prototype_25g_config());
+  const core::CalibrationResult calibration = truth_calibration(proto);
+  cal::OnlineRecalConfig config;
+  config.duration_s = 0.0;  // still one slot
+  config.sample_every_slots = 1;
+  config.window_slots = 1;
+  config.slot_us = 1;
+  config.fit_iters_per_event = 1;
+  config.fit_interval_us = 1;
+  config.refit.min_samples = config.refit.buffer_capacity;
+  const cal::OnlineRecalResult result = cal::run_online_recal_session(
+      proto, calibration, config, runtime::Context::isolated());
+  EXPECT_EQ(result.slots, 1u);
+  EXPECT_EQ(result.windows, 1u);
+}
+
+// The session resolves its metric handles once, on first use: a frozen
+// twin (no sample admission) exports no admission counter, and the slot
+// counter counts every slot.
+TEST(OnlineRecalConfigTest, SessionExportsOnlyTheSeriesItTouches) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
+  sim::Prototype proto = sim::make_prototype(211, sim::prototype_25g_config());
+  const core::CalibrationResult calibration = truth_calibration(proto);
+  for (const bool online : {false, true}) {
+    cal::OnlineRecalConfig config;
+    config.duration_s = 0.2;
+    config.online = online;
+    const runtime::Context ctx = runtime::Context::isolated();
+    const cal::OnlineRecalResult result =
+        cal::run_online_recal_session(proto, calibration, config, ctx);
+    std::uint64_t slots = 0;
+    bool admitted = false;
+    for (const auto& [key, counter] : ctx.registry().counters()) {
+      if (key.name == "cal_slots_total") slots = counter->value();
+      if (key.name == "cal_samples_admitted_total") admitted = true;
+    }
+    EXPECT_EQ(slots, result.slots) << (online ? "online" : "frozen");
+    EXPECT_EQ(admitted, online) << (online ? "online" : "frozen");
+  }
 }
 
 }  // namespace

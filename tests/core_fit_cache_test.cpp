@@ -1,16 +1,25 @@
-// The calibration residuals reuse mirror trig across evaluations: the
-// Stage-1 residual keeps a per-sample table keyed on theta1's bits, and
-// the Stage-2 residual computes its samples' angles once per problem.
-// These tests hold the reuse to the rule that it never changes a bit:
+// The calibration residuals memoize their stages (opt::StageMemo): the
+// Stage-1 residual keeps per-sample tables of mirror angles, both mirrors'
+// rotated normals and the first bounce, each keyed on the bits of the
+// parameters it reads, and the Stage-2 residual keeps each map's half of
+// Lemma 1 keyed on that map's 6 parameters.  These tests hold the memo to
+// the rule that it never changes a bit:
 //
+//   * a central-difference sweep of each residual (every column, +h and
+//     -h, in forward order, in reverse order, and from 4 pool workers at
+//     once) memcmp-equals the uncached oracle (tests/oracle/);
 //   * a Stage-1 residual evaluated cold equals the same residual after
-//     its table was warmed at another theta1, and equals the uncached
-//     GmaModel::trace path;
+//     its tables were warmed at another theta1;
 //   * fit_kspace_model and fit_mapping are bit-identical at pool widths
-//     1 and 4 (at width 4 the theta1 column's chunk swaps the shared
-//     table while the other chunks read it).
+//     1 and 4 (at width 4 the chunks publish perturbed tables while the
+//     other chunks read the base point's);
+//   * whole installs hash to the values pinned before the memo went in.
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,9 +29,12 @@
 #include "core/mapping_calibration.hpp"
 #include "core/pointing.hpp"
 #include "galvo/galvo_mirror.hpp"
+#include "opt/levmar.hpp"
+#include "oracle/fit_residuals.hpp"
 #include "runtime/context.hpp"
 #include "sim/prototype.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cyclops::core {
 namespace {
@@ -46,27 +58,11 @@ std::vector<double> residuals_at(const KSpaceFitProblem& problem,
   return r;
 }
 
-/// The Stage-1 residual without any table: GmaModel::trace per sample.
+/// The Stage-1 residual without any table: the oracle's body.
 std::vector<double> uncached_residuals(const std::vector<BoardSample>& samples,
                                        const std::vector<double>& params) {
-  std::array<double, galvo::GalvoParams::kParamCount> packed{};
-  std::copy(params.begin(), params.end(), packed.begin());
-  const GmaModel model(galvo::GalvoParams::unpack(packed));
-  const geom::Plane board{{0, 0, 0}, {0, 0, 1}};
   std::vector<double> r;
-  for (const auto& s : samples) {
-    const auto ray = model.trace(s.v1, s.v2);
-    const auto t =
-        ray ? geom::intersect(*ray, board, /*forward_only=*/false) : std::nullopt;
-    if (t) {
-      const geom::Vec3 hit = ray->at(*t);
-      r.push_back(hit.x - s.x);
-      r.push_back(hit.y - s.y);
-    } else {
-      r.push_back(1.0);
-      r.push_back(1.0);
-    }
-  }
+  oracle::kspace_residuals(samples, params, r);
   return r;
 }
 
@@ -90,6 +86,122 @@ opt::LevMarOptions short_options() {
   opt::LevMarOptions options;
   options.max_iterations = 12;
   return options;
+}
+
+/// memcmp equality of two residual vectors.
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0)
+      << what;
+}
+
+/// The points numeric_jacobian evaluates around `base`: entry 2j is
+/// column j at +h, entry 2j + 1 column j at -h.
+std::vector<std::vector<double>> sweep_points(const std::vector<double>& base) {
+  const double epsilon = opt::LevMarOptions{}.jacobian_epsilon;
+  std::vector<std::vector<double>> points;
+  for (std::size_t j = 0; j < base.size(); ++j) {
+    const double h = epsilon * std::max(1.0, std::abs(base[j]));
+    for (const double step : {h, -h}) {
+      std::vector<double> p = base;
+      p[j] = base[j] + step;
+      points.push_back(std::move(p));
+    }
+  }
+  return points;
+}
+
+/// A central-difference sweep of the residuals `make_fn()` returns, each
+/// evaluation memcmp-equal to `oracle` at the same point: the base point
+/// then every column at +h and -h in forward order, the same in reverse
+/// order through the tables the forward pass left behind, every point
+/// from 4 pool workers at once on a cold memo, and the Jacobian
+/// numeric_jacobian assembles at pool width 4.
+template <class MakeFn>
+void expect_sweep_matches_oracle(const MakeFn& make_fn,
+                                 const opt::ResidualFn& oracle,
+                                 const std::vector<double>& base) {
+  const std::vector<std::vector<double>> points = sweep_points(base);
+  std::vector<double> want_base;
+  oracle(base, want_base);
+  std::vector<std::vector<double>> want(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) oracle(points[i], want[i]);
+
+  const opt::ResidualFn warm = make_fn();
+  std::vector<double> got;
+  warm(base, got);
+  expect_same_bits(got, want_base, "base point");
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    warm(points[i], got);
+    expect_same_bits(got, want[i], "forward point " + std::to_string(i));
+  }
+  for (std::size_t i = points.size(); i-- > 0;) {
+    warm(points[i], got);
+    expect_same_bits(got, want[i], "reverse point " + std::to_string(i));
+  }
+
+  util::ThreadPool pool(4);
+  const opt::ResidualFn cold = make_fn();
+  std::vector<std::vector<double>> concurrent(points.size());
+  pool.run_chunked(points.size(), points.size(),
+                   [&](std::size_t chunk, std::size_t, std::size_t) {
+                     cold(points[chunk], concurrent[chunk]);
+                   });
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    expect_same_bits(concurrent[i], want[i],
+                     "pool point " + std::to_string(i));
+  }
+
+  const double epsilon = opt::LevMarOptions{}.jacobian_epsilon;
+  opt::Matrix jac, want_jac;
+  opt::JacobianScratch scratch, want_scratch;
+  opt::numeric_jacobian(make_fn(), base, epsilon, want_base.size(), jac,
+                        scratch, pool);
+  opt::numeric_jacobian(oracle, base, epsilon, want_base.size(), want_jac,
+                        want_scratch, util::ThreadPool::serial());
+  for (std::size_t j = 0; j < base.size(); ++j) {
+    std::vector<double> col(want_base.size()), want_col(want_base.size());
+    for (std::size_t i = 0; i < want_base.size(); ++i) {
+      col[i] = jac(i, j);
+      want_col[i] = want_jac(i, j);
+    }
+    expect_same_bits(col, want_col, "jacobian column " + std::to_string(j));
+  }
+}
+
+/// Stage-2 inputs: the truth chain's K-space models, perfectly aligned
+/// tuples (P(psi) is the aligned voltage set for report psi) and
+/// manual-measurement guesses around the true maps.
+struct MappingSet {
+  GmaModel tx;
+  GmaModel rx;
+  std::vector<AlignedSample> samples;
+  geom::Pose tx_guess;
+  geom::Pose rx_guess;
+};
+
+MappingSet mapping_set(const sim::Prototype& proto) {
+  MappingSet set{
+      GmaModel(proto.tx_galvo_truth).transformed(proto.k_from_tx_gma),
+      GmaModel(proto.rx_galvo_truth).transformed(proto.k_from_rx_gma),
+      {},
+      {},
+      {}};
+  const PointingSolver solver(set.tx, set.rx, proto.true_map_tx,
+                              proto.true_map_rx, {});
+  util::Rng rng(kRigSeed + 1);
+  for (int i = 0; i < 10; ++i) {
+    const geom::Pose psi =
+        random_rig_pose(proto.nominal_rig_pose, 0.15, 0.08, rng);
+    const PointingResult aligned = solver.solve(psi, {});
+    if (aligned.converged) set.samples.push_back({aligned.voltages, psi});
+  }
+  set.tx_guess = random_pose_error(rng, 0.03, 0.05) * proto.true_map_tx;
+  set.rx_guess = random_pose_error(rng, 0.03, 0.05) * proto.true_map_rx;
+  return set;
 }
 
 class FitCacheTest : public ::testing::Test {
@@ -165,27 +277,13 @@ TEST_F(FitCacheTest, KSpaceFitIsPoolWidthInvariant) {
 }
 
 TEST_F(FitCacheTest, MappingFitIsPoolWidthInvariant) {
-  // Perfectly aligned tuples from the truth chain: P(psi) is the aligned
-  // voltage set for report psi.
-  const GmaModel tx = GmaModel(proto_->tx_galvo_truth)
-                          .transformed(proto_->k_from_tx_gma);
-  const GmaModel rx = GmaModel(proto_->rx_galvo_truth)
-                          .transformed(proto_->k_from_rx_gma);
-  const PointingSolver solver(tx, rx, proto_->true_map_tx,
-                              proto_->true_map_rx, {});
-  util::Rng rng(kRigSeed + 1);
-  std::vector<AlignedSample> samples;
-  for (int i = 0; i < 10; ++i) {
-    const geom::Pose psi =
-        random_rig_pose(proto_->nominal_rig_pose, 0.15, 0.08, rng);
-    const PointingResult aligned = solver.solve(psi, {});
-    if (aligned.converged) samples.push_back({aligned.voltages, psi});
-  }
+  const MappingSet set = mapping_set(*proto_);
+  const GmaModel& tx = set.tx;
+  const GmaModel& rx = set.rx;
+  const std::vector<AlignedSample>& samples = set.samples;
   ASSERT_GE(samples.size(), 6u);
-  const geom::Pose tx_guess =
-      random_pose_error(rng, 0.03, 0.05) * proto_->true_map_tx;
-  const geom::Pose rx_guess =
-      random_pose_error(rng, 0.03, 0.05) * proto_->true_map_rx;
+  const geom::Pose& tx_guess = set.tx_guess;
+  const geom::Pose& rx_guess = set.rx_guess;
 
   const auto fit_at = [&](std::size_t threads) {
     const runtime::Context ctx =
@@ -206,6 +304,130 @@ TEST_F(FitCacheTest, MappingFitIsPoolWidthInvariant) {
   EXPECT_EQ(one.max_coincidence_m, four.max_coincidence_m);
   EXPECT_EQ(one.optimizer_iterations, four.optimizer_iterations);
   EXPECT_EQ(one.converged, four.converged);
+}
+
+TEST_F(FitCacheTest, Stage1SweepMatchesUncachedOracle) {
+  const std::vector<BoardSample> samples = board_samples(*proto_);
+  ASSERT_GE(samples.size(), 20u);
+  const GmaModel guess = nominal_kspace_guess(proto_->config.board_distance);
+  // A base point off the CAD nominal in every parameter.
+  std::vector<double> base = make_kspace_problem(samples, guess).initial;
+  for (std::size_t j = 0; j < base.size(); ++j) {
+    base[j] += 1e-4 * std::sin(1.0 + static_cast<double>(j));
+  }
+  expect_sweep_matches_oracle(
+      [&] { return make_kspace_problem(samples, guess).residuals; },
+      [&](std::span<const double> params, std::vector<double>& r) {
+        oracle::kspace_residuals(samples, params, r);
+      },
+      base);
+}
+
+TEST_F(FitCacheTest, Stage2SweepMatchesUncachedOracle) {
+  const MappingSet set = mapping_set(*proto_);
+  ASSERT_GE(set.samples.size(), 6u);
+  const auto make = [&] {
+    return make_mapping_problem(set.tx, set.rx, set.samples, set.tx_guess,
+                                set.rx_guess);
+  };
+  expect_sweep_matches_oracle(
+      [&] { return make().residuals; },
+      [&](std::span<const double> params, std::vector<double>& r) {
+        oracle::mapping_residuals(set.tx, set.rx, set.samples, params, r);
+      },
+      make().initial);
+}
+
+/// FNV-1a over the bits of every double, int and bool a
+/// CalibrationResult carries: both Stage-1 reports, the mapping report
+/// and every Stage-2 sample.
+class ResultHash {
+ public:
+  void add_u64(std::uint64_t bits) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (bits >> (8 * i)) & 0xffu;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void add(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    add_u64(bits);
+  }
+  void add(const geom::Vec3& v) {
+    add(v.x);
+    add(v.y);
+    add(v.z);
+  }
+  void add(const geom::Pose& pose) {
+    for (const auto& row : pose.rotation().m) {
+      for (double v : row) add(v);
+    }
+    add(pose.translation());
+  }
+  void add(const KSpaceFitReport& r) {
+    for (double v : r.model.params().pack()) add(v);
+    add(r.avg_error_m);
+    add(r.max_error_m);
+    add_u64(static_cast<std::uint64_t>(r.optimizer_iterations));
+    add_u64(r.converged ? 1u : 0u);
+  }
+  void add(const CalibrationResult& c) {
+    add(c.tx_stage1);
+    add(c.rx_stage1);
+    add(c.mapping.map_tx);
+    add(c.mapping.map_rx);
+    add(c.mapping.avg_coincidence_m);
+    add(c.mapping.max_coincidence_m);
+    add_u64(static_cast<std::uint64_t>(c.mapping.optimizer_iterations));
+    add_u64(c.mapping.converged ? 1u : 0u);
+    add_u64(c.stage2_samples.size());
+    for (const AlignedSample& s : c.stage2_samples) {
+      add(s.voltages.tx1);
+      add(s.voltages.tx2);
+      add(s.voltages.rx1);
+      add(s.voltages.rx2);
+      add(s.psi);
+    }
+  }
+  std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t calibration_hash(bool is_25g, bool blind) {
+  constexpr std::uint64_t kSeed = 2022;
+  sim::Prototype proto = sim::make_prototype(
+      kSeed, is_25g ? sim::prototype_25g_config() : sim::prototype_10g_config());
+  CalibrationConfig config;
+  config.blind_stage2 = blind;
+  util::Rng rng(kSeed ^ 0x9e3779b97f4a7c15ULL);
+  const runtime::Context ctx =
+      runtime::Context::isolated({runtime::Context::kDefaultSeed, 2});
+  ResultHash hash;
+  hash.add(calibrate_prototype(proto, config, rng, ctx));
+  return hash.value();
+}
+
+// Pinned before the residuals' stage memo went in: every install's
+// result, bit for bit, at one prototype seed.
+TEST(CalibrationBitsTest, InstallResultBitsArePinned) {
+  struct Case {
+    bool is_25g;
+    bool blind;
+    std::uint64_t expected;
+  };
+  const Case cases[] = {
+      {false, false, 6818426864115482660ull},
+      {false, true, 1506141579679294225ull},
+      {true, false, 6017936990999615497ull},
+      {true, true, 1542806262871223486ull},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(calibration_hash(c.is_25g, c.blind), c.expected)
+        << (c.is_25g ? "25G" : "10G") << (c.blind ? " blind" : " guided");
+  }
 }
 
 }  // namespace
