@@ -1,17 +1,23 @@
 // Calibration persistence: v2 header, v1 compatibility, and the
 // malformed-file rejections (truncation, wrong value counts, non-finite
 // fields) with line/field-numbered errors.  Uses a synthetic
-// CalibrationResult so no (slow) calibration runs.
+// CalibrationResult so no (slow) calibration runs, except the one
+// golden-bytes test, which pins the file written for a real install.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/persistence.hpp"
+#include "runtime/context.hpp"
+#include "sim/prototype.hpp"
+#include "util/rng.hpp"
 
 namespace cyclops::core {
 namespace {
@@ -179,6 +185,36 @@ TEST(PersistenceV2Test, WrongRecordKeyNamesBoth) {
   const std::string what = load_error(path);
   EXPECT_NE(what.find("tx_model"), std::string::npos) << what;
   EXPECT_NE(what.find("ty_model"), std::string::npos) << what;
+  std::filesystem::remove(path);
+}
+
+/// FNV-1a (64-bit) over the bytes of a file.
+std::uint64_t file_fnv1a(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (auto it = std::istreambuf_iterator<char>(in);
+       it != std::istreambuf_iterator<char>(); ++it) {
+    hash ^= static_cast<unsigned char>(*it);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+// The file a fixed-seed 10G guided install saves, byte for byte: the
+// header, the record order and the 17-digit number formatting are the
+// on-disk contract that deployed rigs reload after a power cycle.
+TEST(PersistenceV2Test, SavedInstallBytesArePinned) {
+  constexpr std::uint64_t kSeed = 2022;
+  sim::Prototype proto =
+      sim::make_prototype(kSeed, sim::prototype_10g_config());
+  util::Rng rng(kSeed);
+  const runtime::Context ctx =
+      runtime::Context::isolated({runtime::Context::kDefaultSeed, 2});
+  const CalibrationResult calib =
+      calibrate_prototype(proto, CalibrationConfig{}, rng, ctx);
+  const auto path = temp_file("cyclops_persist_golden.txt");
+  save_calibration(path, calib);
+  EXPECT_EQ(file_fnv1a(path), 5727443329604447631ull);
   std::filesystem::remove(path);
 }
 
