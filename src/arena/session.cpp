@@ -10,6 +10,7 @@
 #include "event/scheduler.hpp"
 #include "link/event_session.hpp"
 #include "session/lifecycle.hpp"
+#include "util/require.hpp"
 
 namespace cyclops::arena {
 
@@ -480,6 +481,7 @@ void ArenaSlotProcess::finish() {
     result_.per_tx_duty[tx] =
         static_cast<double>(tx_serve_slots_[tx]) /
         static_cast<double>(total_ticks_);
+    result_.slots += static_cast<std::uint64_t>(tx_serve_slots_[tx]);
   }
   for (const HeadsetState& s : heads_) {
     total_sched += s.sched_slots;
@@ -493,6 +495,19 @@ void ArenaSlotProcess::finish() {
   int cancelled = 0;
   for (const auto& ho : handovers_) cancelled += ho->cancelled_switches();
   result_.cancelled_migrations = cancelled;
+}
+
+/// Rejects options the session cannot run: a non-positive slot or frame
+/// length divides by zero, and a negative, non-finite or huge duration
+/// overflows the tick count.
+void validate(const ArenaOptions& o) {
+  util::require(o.slot > 0, "ArenaOptions", "slot", "> 0 us", o.slot);
+  util::require(o.scheduler.frame_slots > 0, "ArenaOptions",
+                "scheduler.frame_slots", "> 0", o.scheduler.frame_slots);
+  util::require(std::isfinite(o.duration_s) && o.duration_s >= 0.0 &&
+                    o.duration_s * 1e6 < 0x1p63,
+                "ArenaOptions", "duration_s", "finite, >= 0 and under 2^63 us",
+                o.duration_s);
 }
 
 }  // namespace
@@ -518,6 +533,7 @@ int ArenaResult::sla_met_count() const {
 ArenaResult run_arena_session(const ArenaTopology& topology,
                               const ArenaOptions& options,
                               const runtime::Context& ctx) {
+  validate(options);
   ArenaResult result;
   session::ScopedScheduler lease(session::bind_session_clock(ctx));
   event::Scheduler& sched = lease.get();

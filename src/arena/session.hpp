@@ -112,6 +112,7 @@ struct ArenaResult {
   /// actually carried data).
   double schedule_efficiency = 0.0;
   std::uint64_t events = 0;  ///< Dispatched by the event engine.
+  std::uint64_t slots = 0;   ///< Serve slots emitted, summed over TXs.
   std::vector<ArenaEvent> log;
 
   int sla_met_count() const;
@@ -125,7 +126,9 @@ struct ArenaResult {
 /// the per-headset HandoverProcess metrics (handover_*).  No-op in
 /// CYCLOPS_OBS=OFF builds.  Deterministic: same topology + options give
 /// byte-identical results at any driver-pool thread count (the session
-/// itself never touches a pool).
+/// itself never touches a pool).  Throws std::invalid_argument naming the
+/// field for a slot or scheduler.frame_slots <= 0, or a duration_s that
+/// is negative, non-finite or 2^63 us or more.
 ArenaResult run_arena_session(const ArenaTopology& topology,
                               const ArenaOptions& options,
                               const runtime::Context& ctx);

@@ -12,7 +12,8 @@
 //   rx_report     <29 doubles>
 //   tx_samples_n  <1 u64>
 //   tx_samples    <4n doubles>
-//   ... (fixed record sequence; see checkpoint.cpp)
+//   ... (fixed record sequence: checkpoint_records in checkpoint.cpp is
+//        the format — one list that both the writer and the reader walk)
 //
 // The format deliberately has its own magic — it is NOT a version bump of
 // the `cyclops-calibration` result file (core/persistence.hpp), which
@@ -30,53 +31,15 @@
 // live rig state, not engine state).
 #pragma once
 
-#include <array>
-#include <cstdint>
 #include <filesystem>
 #include <iosfwd>
-#include <optional>
-#include <vector>
 
 #include "cal/engine.hpp"
-#include "core/kspace_calibration.hpp"
-#include "core/mapping_calibration.hpp"
-#include "geom/pose.hpp"
-#include "opt/levmar.hpp"
-#include "sim/scene.hpp"
-#include "util/rng.hpp"
 
 namespace cyclops::cal {
 
-/// Everything CalibrationEngine::restore needs, as a plain value.
-struct EngineCheckpoint {
-  int phase = 0;
-  std::uint64_t steps = 0;
-  util::RngState rng;
-
-  core::BoardSampleCollector::State collector;
-  std::vector<core::BoardSample> tx_samples, rx_samples;
-  std::optional<core::KSpaceFitReport> tx_report, rx_report;
-
-  bool lm_active = false;
-  opt::LmCheckpoint lm;
-
-  std::vector<core::AlignedSample> tuples;
-  sim::Voltages hint;
-  int stage2_i = 0;
-  geom::Pose tx_guess, rx_guess;
-  core::MappingFitReport mapping;
-
-  geom::Vec3 blind_centroid;
-  int blind_a = 0, blind_b = 0;
-  std::array<double, 6> blind_tx_best{};
-  double blind_tx_best_value = 1e18;
-  geom::Pose blind_tx_seed;
-  core::MappingFitReport blind_best;
-  double blind_best_value = 1e18;
-
-  int retry_attempt = 0;
-  geom::Pose retry_tx, retry_rx;
-};
+// EngineCheckpoint, the engine's state as a value, is declared in
+// cal/engine.hpp.
 
 void write_engine_checkpoint(std::ostream& out, const EngineCheckpoint& cp);
 EngineCheckpoint read_engine_checkpoint(std::istream& in);

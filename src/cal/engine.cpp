@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 
 #include "galvo/factory.hpp"
 #include "geom/ray.hpp"
@@ -52,7 +54,7 @@ void CalibrationEngine::begin_rx_collect() {
 
 bool CalibrationEngine::step() {
   if (done()) return false;
-  ++steps_;
+  ++state_.steps;
   switch (phase_) {
     case Phase::kStage1TxCollect:
     case Phase::kStage1RxCollect:
@@ -114,25 +116,17 @@ void CalibrationEngine::step_stage1_collect() {
   collector_->step(rng_);
   if (!collector_->done()) return;
   const auto t0 = std::chrono::steady_clock::now();
-  if (phase_ == Phase::kStage1TxCollect) {
-    tx_samples_ = collector_->take_samples();
-    collector_.reset();
-    const core::KSpaceFitProblem problem =
-        core::make_kspace_problem(tx_samples_, guess_);
-    lm_wall_us_ = 0.0;
-    lm_.emplace(problem.residuals, problem.initial, config_.stage1_options,
-                *ctx_);
-    phase_ = Phase::kStage1TxFit;
-  } else {
-    rx_samples_ = collector_->take_samples();
-    collector_.reset();
-    const core::KSpaceFitProblem problem =
-        core::make_kspace_problem(rx_samples_, guess_);
-    lm_wall_us_ = 0.0;
-    lm_.emplace(problem.residuals, problem.initial, config_.stage1_options,
-                *ctx_);
-    phase_ = Phase::kStage1RxFit;
-  }
+  const bool tx = phase_ == Phase::kStage1TxCollect;
+  std::vector<core::BoardSample>& samples =
+      tx ? state_.tx_samples : state_.rx_samples;
+  samples = collector_->take_samples();
+  collector_.reset();
+  const core::KSpaceFitProblem problem =
+      core::make_kspace_problem(samples, guess_);
+  lm_wall_us_ = 0.0;
+  lm_.emplace(problem.residuals, problem.initial, config_.stage1_options,
+              *ctx_);
+  phase_ = tx ? Phase::kStage1TxFit : Phase::kStage1RxFit;
   lm_wall_us_ +=
       std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() -
                                                 t0)
@@ -144,78 +138,93 @@ void CalibrationEngine::step_stage1_fit() {
   const opt::LevMarResult fit = lm_->result();
   lm_.reset();
   if (phase_ == Phase::kStage1TxFit) {
-    tx_report_ = core::finish_kspace_fit(tx_samples_, fit);
+    state_.tx_report = core::finish_kspace_fit(state_.tx_samples, fit);
     begin_rx_collect();
     phase_ = Phase::kStage1RxCollect;
   } else {
-    rx_report_ = core::finish_kspace_fit(rx_samples_, fit);
+    state_.rx_report = core::finish_kspace_fit(state_.rx_samples, fit);
     galvo_.reset();
     aligner_.emplace(config_.aligner, *ctx_);
-    tuples_.clear();
-    tuples_.reserve(static_cast<std::size_t>(
+    state_.tuples.clear();
+    state_.tuples.reserve(static_cast<std::size_t>(
         std::max(config_.stage2_samples, 0)));
-    hint_ = {};
-    stage2_i_ = 0;
+    state_.hint = {};
+    state_.stage2_i = 0;
     phase_ = Phase::kStage2Collect;
   }
 }
 
 void CalibrationEngine::step_stage2_collect() {
-  if (stage2_i_ < config_.stage2_samples) {
+  if (state_.stage2_i < config_.stage2_samples) {
     // One aligned-sample attempt: exactly the one-shot loop body.
     const geom::Pose pose = core::random_rig_pose(
         proto_->nominal_rig_pose, config_.pose_position_extent,
         config_.pose_angle_extent, rng_);
     proto_->apply_rig_flex(rng_);
     proto_->scene.set_rig_pose(pose);
-    const core::AlignResult aligned = aligner_->align(proto_->scene, hint_);
+    const core::AlignResult aligned =
+        aligner_->align(proto_->scene, state_.hint);
     if constexpr (obs::kEnabled) {
       ctx_->registry()
           .counter("align_status_total",
                    {{"status", core::to_string(aligned.status)}})
           .inc();
     }
-    ++stage2_i_;
+    ++state_.stage2_i;
     if (aligned.converged()) {
-      hint_ = aligned.voltages;
+      state_.hint = aligned.voltages;
       const tracking::PoseReport report = proto_->tracker.report(0, pose);
-      tuples_.push_back({aligned.voltages, report.pose});
+      state_.tuples.push_back({aligned.voltages, report.pose});
     }
-    if (stage2_i_ < config_.stage2_samples) return;
+    if (state_.stage2_i < config_.stage2_samples) return;
   }
   // Collection complete.  The manual-measurement guesses are always drawn
   // (even for the blind install) — the one-shot pipeline drew them before
   // branching, and the RNG stream is part of the contract.
   aligner_.reset();
-  tx_guess_ = proto_->true_map_tx *
-              core::random_pose_error(rng_, config_.guess_position_sigma,
-                                      config_.guess_angle_sigma);
-  rx_guess_ = proto_->true_map_rx *
-              core::random_pose_error(rng_, config_.guess_position_sigma,
-                                      config_.guess_angle_sigma);
+  state_.tx_guess =
+      proto_->true_map_tx *
+      core::random_pose_error(rng_, config_.guess_position_sigma,
+                              config_.guess_angle_sigma);
+  state_.rx_guess =
+      proto_->true_map_rx *
+      core::random_pose_error(rng_, config_.guess_position_sigma,
+                              config_.guess_angle_sigma);
   if (config_.blind_stage2) {
     begin_blind();
     phase_ = Phase::kStage2BlindA;
   } else {
-    begin_stage2_fit();
+    begin_mapping_fit(state_.tx_guess, state_.rx_guess);
     phase_ = Phase::kStage2Fit;
   }
 }
 
-void CalibrationEngine::begin_stage2_fit() {
-  const core::MappingFitProblem problem = core::make_mapping_problem(
-      tx_report_->model, rx_report_->model, tuples_, tx_guess_, rx_guess_);
+core::MappingFitProblem CalibrationEngine::mapping_problem(
+    const geom::Pose& tx_guess, const geom::Pose& rx_guess) const {
+  return core::make_mapping_problem(state_.tx_report->model,
+                                    state_.rx_report->model, state_.tuples,
+                                    tx_guess, rx_guess);
+}
+
+void CalibrationEngine::begin_mapping_fit(const geom::Pose& tx_guess,
+                                          const geom::Pose& rx_guess) {
+  const core::MappingFitProblem problem = mapping_problem(tx_guess, rx_guess);
   lm_wall_us_ = 0.0;
   lm_.emplace(problem.residuals, problem.initial, config_.stage2_options,
               *ctx_);
 }
 
+core::MappingFitReport CalibrationEngine::finish_mapping_fit() const {
+  return core::finish_mapping_fit(state_.tx_report->model,
+                                  state_.rx_report->model, state_.tuples,
+                                  lm_->result());
+}
+
 void CalibrationEngine::step_stage2_fit() {
   if (lm_step_and_record()) return;
-  mapping_ = core::finish_mapping_fit(tx_report_->model, rx_report_->model,
-                                      tuples_, lm_->result());
+  state_.mapping = finish_mapping_fit();
   lm_.reset();
-  retry_attempt_ = 0;
+  state_.retry_attempt = 0;
   phase_ = Phase::kStage2Retry;
 }
 
@@ -225,10 +234,10 @@ void CalibrationEngine::make_blind_tx_residuals() {
   // rigidly and leave theta1 alone, so the tuples' mirror angles are
   // computed once per cost function.
   std::vector<galvo::MirrorAngles> angles;
-  angles.reserve(tuples_.size());
-  for (const auto& tuple : tuples_) {
+  angles.reserve(state_.tuples.size());
+  for (const auto& tuple : state_.tuples) {
     angles.push_back(
-        tx_report_->model.angles(tuple.voltages.tx1, tuple.voltages.tx2));
+        state_.tx_report->model.angles(tuple.voltages.tx1, tuple.voltages.tx2));
   }
   blind_tx_residuals_ = [this, angles = std::move(angles)](
                             std::span<const double> p6,
@@ -236,26 +245,29 @@ void CalibrationEngine::make_blind_tx_residuals() {
     std::array<double, 6> arr{};
     std::copy(p6.begin(), p6.end(), arr.begin());
     const core::GmaModel tx_vr =
-        tx_report_->model.transformed(geom::Pose::from_params(arr));
-    r.resize(tuples_.size());
-    for (std::size_t s = 0; s < tuples_.size(); ++s) {
+        state_.tx_report->model.transformed(geom::Pose::from_params(arr));
+    r.resize(state_.tuples.size());
+    for (std::size_t s = 0; s < state_.tuples.size(); ++s) {
       const auto ray = tx_vr.trace(angles[s]);
       r[s] = ray ? geom::line_point_distance(*ray,
-                                             tuples_[s].psi.translation())
+                                             state_.tuples[s].psi.translation())
                  : 2.0;
     }
   };
 }
 
 void CalibrationEngine::begin_blind() {
-  blind_centroid_ = geom::Vec3{};
-  for (const auto& sample : tuples_) blind_centroid_ += sample.psi.translation();
-  if (!tuples_.empty()) {
-    blind_centroid_ = blind_centroid_ / static_cast<double>(tuples_.size());
+  state_.blind_centroid = geom::Vec3{};
+  for (const auto& sample : state_.tuples) {
+    state_.blind_centroid += sample.psi.translation();
   }
-  blind_a_ = 0;
-  blind_tx_best_.fill(0.0);
-  blind_tx_best_value_ = 1e18;
+  if (!state_.tuples.empty()) {
+    state_.blind_centroid =
+        state_.blind_centroid / static_cast<double>(state_.tuples.size());
+  }
+  state_.blind_a = 0;
+  state_.blind_tx_best.fill(0.0);
+  state_.blind_tx_best_value = 1e18;
   make_blind_tx_residuals();
 }
 
@@ -269,25 +281,26 @@ void CalibrationEngine::step_blind_a() {
   const std::vector<double> x0{rv.x,
                                rv.y,
                                rv.z,
-                               blind_centroid_.x + rng_.normal(0.0, 0.5),
-                               blind_centroid_.y + rng_.normal(0.0, 0.5),
-                               blind_centroid_.z + rng_.normal(0.0, 0.5)};
+                               state_.blind_centroid.x + rng_.normal(0.0, 0.5),
+                               state_.blind_centroid.y + rng_.normal(0.0, 0.5),
+                               state_.blind_centroid.z + rng_.normal(0.0, 0.5)};
   opt::LevMarOptions lm;
   lm.max_iterations = 60;
   const auto fit = opt::levenberg_marquardt(blind_tx_residuals_, x0, lm, *ctx_);
-  if (fit.final_cost < blind_tx_best_value_) {
-    blind_tx_best_value_ = fit.final_cost;
-    std::copy(fit.params.begin(), fit.params.end(), blind_tx_best_.begin());
+  if (fit.final_cost < state_.blind_tx_best_value) {
+    state_.blind_tx_best_value = fit.final_cost;
+    std::copy(fit.params.begin(), fit.params.end(),
+              state_.blind_tx_best.begin());
   }
-  ++blind_a_;
-  if (blind_a_ >= 60) enter_blind_b();
+  ++state_.blind_a;
+  if (state_.blind_a >= 60) enter_blind_b();
 }
 
 void CalibrationEngine::enter_blind_b() {
-  blind_tx_seed_ = geom::Pose::from_params(blind_tx_best_);
-  blind_b_ = 0;
-  blind_best_ = core::MappingFitReport{};
-  blind_best_value_ = 1e18;
+  state_.blind_tx_seed = geom::Pose::from_params(state_.blind_tx_best);
+  state_.blind_b = 0;
+  state_.blind_best = core::MappingFitReport{};
+  state_.blind_best_value = 1e18;
   phase_ = Phase::kStage2BlindB;
 }
 
@@ -300,60 +313,157 @@ void CalibrationEngine::step_blind_b() {
   const std::array<double, 6> rx_arr{rv.x, rv.y, rv.z, 0.0, 0.0, 0.0};
   const geom::Pose rx_seed = geom::Pose::from_params(rx_arr);
   const core::MappingFitReport report = core::fit_mapping(
-      tx_report_->model, rx_report_->model, tuples_, blind_tx_seed_, rx_seed,
-      config_.stage2_options, *ctx_);
-  if (report.avg_coincidence_m < blind_best_value_) {
-    blind_best_value_ = report.avg_coincidence_m;
-    blind_best_ = report;
+      state_.tx_report->model, state_.rx_report->model, state_.tuples,
+      state_.blind_tx_seed, rx_seed, config_.stage2_options, *ctx_);
+  if (report.avg_coincidence_m < state_.blind_best_value) {
+    state_.blind_best_value = report.avg_coincidence_m;
+    state_.blind_best = report;
   }
-  ++blind_b_;
-  if (blind_best_value_ < 5e-3 || blind_b_ >= 12) {  // good basin found
-    mapping_ = blind_best_;
-    retry_attempt_ = 0;
+  ++state_.blind_b;
+  // Stop at a good basin or after 12 starts.
+  if (state_.blind_best_value < 5e-3 || state_.blind_b >= 12) {
+    state_.mapping = state_.blind_best;
+    state_.retry_attempt = 0;
     phase_ = Phase::kStage2Retry;
   }
-}
-
-void CalibrationEngine::begin_retry_fit() {
-  const core::MappingFitProblem problem = core::make_mapping_problem(
-      tx_report_->model, rx_report_->model, tuples_, retry_tx_, retry_rx_);
-  lm_wall_us_ = 0.0;
-  lm_.emplace(problem.residuals, problem.initial, config_.stage2_options,
-              *ctx_);
 }
 
 void CalibrationEngine::step_retry() {
   if (!lm_) {
     // Between attempts: decide whether another jittered-guess retry is
     // warranted (the one-shot loop's `attempt < 4 && avg > 5e-3`).
-    if (retry_attempt_ >= 4 || mapping_.avg_coincidence_m <= 5e-3) {
+    if (state_.retry_attempt >= 4 ||
+        state_.mapping.avg_coincidence_m <= 5e-3) {
       finalize();
       return;
     }
-    retry_tx_ = tx_guess_ *
-                core::random_pose_error(rng_, config_.guess_position_sigma,
-                                        config_.guess_angle_sigma);
-    retry_rx_ = rx_guess_ *
-                core::random_pose_error(rng_, config_.guess_position_sigma,
-                                        config_.guess_angle_sigma);
-    begin_retry_fit();
+    state_.retry_tx =
+        state_.tx_guess *
+        core::random_pose_error(rng_, config_.guess_position_sigma,
+                                config_.guess_angle_sigma);
+    state_.retry_rx =
+        state_.rx_guess *
+        core::random_pose_error(rng_, config_.guess_position_sigma,
+                                config_.guess_angle_sigma);
+    begin_mapping_fit(state_.retry_tx, state_.retry_rx);
     return;
   }
   if (lm_step_and_record()) return;
-  core::MappingFitReport candidate = core::finish_mapping_fit(
-      tx_report_->model, rx_report_->model, tuples_, lm_->result());
+  core::MappingFitReport candidate = finish_mapping_fit();
   lm_.reset();
-  if (candidate.avg_coincidence_m < mapping_.avg_coincidence_m) {
-    mapping_ = std::move(candidate);
+  if (candidate.avg_coincidence_m < state_.mapping.avg_coincidence_m) {
+    state_.mapping = std::move(candidate);
   }
-  ++retry_attempt_;
+  ++state_.retry_attempt;
 }
 
 void CalibrationEngine::finalize() {
   proto_->scene.set_rig_pose(proto_->nominal_rig_pose);
-  result_.emplace(core::CalibrationResult{*tx_report_, *rx_report_, mapping_,
-                                          tuples_});
+  result_.emplace(core::CalibrationResult{
+      *state_.tx_report, *state_.rx_report, state_.mapping, state_.tuples});
   phase_ = Phase::kDone;
+}
+
+EngineCheckpoint CalibrationEngine::checkpoint() const {
+  EngineCheckpoint cp = state_;
+  cp.phase = static_cast<int>(phase_);
+  cp.rng = rng_.state();
+  cp.collector = collector_ ? collector_->state()
+                            : core::BoardSampleCollector::State{};
+  if (collector_) {
+    // Mid-collection the in-progress samples live in the collector.
+    (phase_ == Phase::kStage1TxCollect ? cp.tx_samples : cp.rx_samples) =
+        collector_->samples();
+  }
+  cp.lm_active = lm_.has_value();
+  cp.lm = lm_ ? lm_->checkpoint() : opt::LmCheckpoint{};
+  return cp;
+}
+
+void CalibrationEngine::restore(const EngineCheckpoint& cp) {
+  if (cp.phase < 0 || cp.phase > static_cast<int>(Phase::kDone)) {
+    throw std::runtime_error("checkpoint phase " + std::to_string(cp.phase) +
+                             " out of range");
+  }
+  phase_ = static_cast<Phase>(cp.phase);
+  rng_ = util::Rng::from_state(cp.rng);
+  state_ = cp;
+
+  collector_.reset();
+  galvo_.reset();
+  aligner_.reset();
+  lm_.reset();
+  lm_wall_us_ = 0.0;
+  result_.reset();
+
+  const auto require_models = [this] {
+    if (!state_.tx_report || !state_.rx_report) {
+      throw std::runtime_error(
+          "checkpoint phase needs Stage-1 models but carries none");
+    }
+  };
+  const auto require_lm = [&cp] {
+    if (!cp.lm_active) {
+      throw std::runtime_error(
+          "checkpoint phase is mid-solve but carries no lm record");
+    }
+  };
+
+  switch (phase_) {
+    case Phase::kStage1TxCollect:
+      begin_tx_collect();
+      collector_->restore(cp.collector, std::move(state_.tx_samples));
+      state_.tx_samples.clear();
+      break;
+    case Phase::kStage1TxFit:
+      require_lm();
+      lm_.emplace(
+          core::make_kspace_problem(state_.tx_samples, guess_).residuals,
+          cp.lm, config_.stage1_options, *ctx_);
+      break;
+    case Phase::kStage1RxCollect:
+      begin_rx_collect();
+      collector_->restore(cp.collector, std::move(state_.rx_samples));
+      state_.rx_samples.clear();
+      break;
+    case Phase::kStage1RxFit:
+      require_lm();
+      lm_.emplace(
+          core::make_kspace_problem(state_.rx_samples, guess_).residuals,
+          cp.lm, config_.stage1_options, *ctx_);
+      break;
+    case Phase::kStage2Collect:
+      require_models();
+      aligner_.emplace(config_.aligner, *ctx_);
+      break;
+    case Phase::kStage2Fit:
+      require_models();
+      require_lm();
+      lm_.emplace(mapping_problem(state_.tx_guess, state_.rx_guess).residuals,
+                  cp.lm, config_.stage2_options, *ctx_);
+      break;
+    case Phase::kStage2BlindA:
+      require_models();
+      make_blind_tx_residuals();
+      break;
+    case Phase::kStage2BlindB:
+      require_models();
+      break;
+    case Phase::kStage2Retry:
+      require_models();
+      if (cp.lm_active) {
+        lm_.emplace(
+            mapping_problem(state_.retry_tx, state_.retry_rx).residuals,
+            cp.lm, config_.stage2_options, *ctx_);
+      }
+      break;
+    case Phase::kDone:
+      require_models();
+      result_.emplace(core::CalibrationResult{
+          *state_.tx_report, *state_.rx_report, state_.mapping,
+          state_.tuples});
+      break;
+  }
 }
 
 }  // namespace cyclops::cal

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "core/kspace_calibration.hpp"
 #include "core/mapping_calibration.hpp"
 #include "galvo/galvo_mirror.hpp"
+#include "geom/pose.hpp"
 #include "opt/levmar.hpp"
 #include "runtime/context.hpp"
 #include "sim/prototype.hpp"
@@ -53,7 +55,42 @@ enum class Phase : int {
 
 const char* phase_name(Phase phase) noexcept;
 
-struct EngineCheckpoint;
+/// The engine's resumable state as a plain value: what a checkpoint
+/// carries and restore() needs.  The engine keeps one of these as its
+/// state; checkpoint() adds the phase, the RNG stream and the live
+/// collector / LM stepper state.
+struct EngineCheckpoint {
+  int phase = 0;
+  std::uint64_t steps = 0;
+  util::RngState rng;
+
+  core::BoardSampleCollector::State collector;
+  std::vector<core::BoardSample> tx_samples, rx_samples;
+  // Optional because GmaModel — deliberately — has no default state.
+  std::optional<core::KSpaceFitReport> tx_report, rx_report;
+
+  bool lm_active = false;
+  opt::LmCheckpoint lm;
+
+  std::vector<core::AlignedSample> tuples;
+  sim::Voltages hint;
+  int stage2_i = 0;
+  geom::Pose tx_guess, rx_guess;
+  core::MappingFitReport mapping;
+
+  // Blind Stage-2 sub-state (the multi-start search over SO(3)).
+  geom::Vec3 blind_centroid;
+  int blind_a = 0, blind_b = 0;
+  std::array<double, 6> blind_tx_best{};
+  double blind_tx_best_value = 1e18;
+  geom::Pose blind_tx_seed;
+  core::MappingFitReport blind_best;
+  double blind_best_value = 1e18;
+
+  // Retry sub-state.
+  int retry_attempt = 0;
+  geom::Pose retry_tx, retry_rx;
+};
 
 class CalibrationEngine {
  public:
@@ -83,7 +120,7 @@ class CalibrationEngine {
            phase_ == Phase::kStage2Collect;
   }
   /// Steps taken so far (monotonic; survives checkpoint/resume).
-  std::uint64_t steps() const noexcept { return steps_; }
+  std::uint64_t steps() const noexcept { return state_.steps; }
 
   /// The engine's RNG stream (for handing back to a caller-owned Rng).
   util::RngState rng_state() const noexcept { return rng_.state(); }
@@ -110,11 +147,17 @@ class CalibrationEngine {
 
   void begin_tx_collect();
   void begin_rx_collect();
-  void begin_stage2_fit();
   void begin_blind();
   void enter_blind_b();
-  void begin_retry_fit();
   void make_blind_tx_residuals();
+
+  /// The Stage-2 mapping problem over the current models and tuples.
+  core::MappingFitProblem mapping_problem(const geom::Pose& tx_guess,
+                                          const geom::Pose& rx_guess) const;
+  void begin_mapping_fit(const geom::Pose& tx_guess,
+                         const geom::Pose& rx_guess);
+  /// The finished LM solve's mapping report.
+  core::MappingFitReport finish_mapping_fit() const;
 
   /// One LmStepper iteration with wall accounting; emits the `lm_*`
   /// metrics on completion (the stepper itself records nothing — parity
@@ -130,40 +173,19 @@ class CalibrationEngine {
   core::GmaModel guess_;
 
   Phase phase_ = Phase::kStage1TxCollect;
-  std::uint64_t steps_ = 0;
+  // Everything resumable except the phase, the RNG stream and the live
+  // objects below (its phase / rng / collector / lm fields are unused
+  // here: checkpoint() fills them in).
+  EngineCheckpoint state_;
 
-  // Stage 1.  (The reports are optional because GmaModel — deliberately —
-  // has no default state.)
+  // Live objects, rebuilt by restore().
   std::optional<galvo::GalvoMirror> galvo_;
   std::optional<core::BoardSampleCollector> collector_;
-  std::vector<core::BoardSample> tx_samples_, rx_samples_;
-  std::optional<core::KSpaceFitReport> tx_report_, rx_report_;
-
   // The in-flight LM solve (Stage-1 fits, Stage-2 direct fit, retries).
   std::optional<opt::LmStepper> lm_;
   double lm_wall_us_ = 0.0;
-
-  // Stage 2.
   std::optional<core::ExhaustiveAligner> aligner_;
-  std::vector<core::AlignedSample> tuples_;
-  sim::Voltages hint_{};
-  int stage2_i_ = 0;
-  geom::Pose tx_guess_, rx_guess_;
-  core::MappingFitReport mapping_;
-
-  // Blind Stage-2 sub-state (the multi-start search over SO(3)).
   opt::ResidualFn blind_tx_residuals_;
-  geom::Vec3 blind_centroid_{};
-  int blind_a_ = 0, blind_b_ = 0;
-  std::array<double, 6> blind_tx_best_{};
-  double blind_tx_best_value_ = 1e18;
-  geom::Pose blind_tx_seed_;
-  core::MappingFitReport blind_best_;
-  double blind_best_value_ = 1e18;
-
-  // Retry sub-state.
-  int retry_attempt_ = 0;
-  geom::Pose retry_tx_, retry_rx_;
 
   std::optional<core::CalibrationResult> result_;
 };

@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "core/pointing.hpp"
@@ -13,6 +11,7 @@
 #include "geom/mat3.hpp"
 #include "obs/registry.hpp"
 #include "session/lifecycle.hpp"
+#include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace cyclops::cal {
@@ -425,27 +424,24 @@ class RecalSession final : public event::Process {
 /// fitting; and a refit that needs more samples than the ring holds
 /// never starts.
 void validate(const OnlineRecalConfig& c) {
-  const auto check = [](bool ok, const char* field, const char* rule,
-                        auto value) {
-    if (ok) return;
-    std::ostringstream message;
-    message << "OnlineRecalConfig." << field << " must be " << rule
-            << ", got " << value;
-    throw std::invalid_argument(message.str());
-  };
-  check(c.sample_every_slots > 0, "sample_every_slots", "> 0",
-        c.sample_every_slots);
-  check(c.window_slots > 0, "window_slots", "> 0", c.window_slots);
-  check(c.slot_us > 0, "slot_us", "> 0 us", c.slot_us);
-  check(std::isfinite(c.duration_s) && c.duration_s >= 0.0 &&
-            c.duration_s * 1e6 / static_cast<double>(c.slot_us) < 0x1p63,
-        "duration_s", "finite, >= 0 and under 2^63 slots", c.duration_s);
-  check(c.fit_iters_per_event > 0, "fit_iters_per_event", "> 0",
-        c.fit_iters_per_event);
-  check(c.fit_interval_us > 0, "fit_interval_us", "> 0 us",
-        c.fit_interval_us);
-  check(c.refit.min_samples <= c.refit.buffer_capacity, "refit.min_samples",
-        "<= refit.buffer_capacity", c.refit.min_samples);
+  constexpr const char* kConfig = "OnlineRecalConfig";
+  util::require(c.sample_every_slots > 0, kConfig, "sample_every_slots",
+                "> 0", c.sample_every_slots);
+  util::require(c.window_slots > 0, kConfig, "window_slots", "> 0",
+                c.window_slots);
+  util::require(c.slot_us > 0, kConfig, "slot_us", "> 0 us", c.slot_us);
+  util::require(std::isfinite(c.duration_s) && c.duration_s >= 0.0 &&
+                    c.duration_s * 1e6 / static_cast<double>(c.slot_us) <
+                        0x1p63,
+                kConfig, "duration_s", "finite, >= 0 and under 2^63 slots",
+                c.duration_s);
+  util::require(c.fit_iters_per_event > 0, kConfig, "fit_iters_per_event",
+                "> 0", c.fit_iters_per_event);
+  util::require(c.fit_interval_us > 0, kConfig, "fit_interval_us", "> 0 us",
+                c.fit_interval_us);
+  util::require(c.refit.min_samples <= c.refit.buffer_capacity, kConfig,
+                "refit.min_samples", "<= refit.buffer_capacity",
+                c.refit.min_samples);
 }
 
 }  // namespace

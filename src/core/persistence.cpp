@@ -1,13 +1,11 @@
 #include "core/persistence.hpp"
 
-#include <algorithm>
-#include <charconv>
-#include <cmath>
+#include <array>
 #include <fstream>
-#include <span>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+
+#include "core/record_codec.hpp"
 
 namespace cyclops::core {
 namespace {
@@ -15,127 +13,42 @@ namespace {
 constexpr const char* kMagicV1 = "cyclops-calibration v1";
 constexpr const char* kMagicV2 = "cyclops-calibration v2";
 
+/// The file's records as plain values: the packed Stage-1 models, the
+/// mappings' 6-parameter vectors, and the fit statistics (tx_avg tx_max
+/// rx_avg rx_max coincidence_avg coincidence_max).
+struct CalibrationRecords {
+  std::array<double, galvo::GalvoParams::kParamCount> tx_model{}, rx_model{};
+  std::array<double, 6> map_tx{}, map_rx{};
+  std::array<double, 6> stats{};
+};
+
+template <class Io, class R>
+void calibration_records(Io& io, R& r) {
+  io.f64s("tx_model", r.tx_model);
+  io.f64s("rx_model", r.rx_model);
+  io.f64s("map_tx", r.map_tx);
+  io.f64s("map_rx", r.map_rx);
+  io.f64s("stats", r.stats);
+}
+
 }  // namespace
-
-namespace persist {
-
-void write_values(std::ostream& out, const char* key,
-                  std::span<const double> values) {
-  out << key;
-  out.precision(17);
-  for (double v : values) out << ' ' << v;
-  out << '\n';
-}
-
-void write_u64_values(std::ostream& out, const char* key,
-                      std::span<const std::uint64_t> values) {
-  out << key;
-  for (std::uint64_t v : values) out << ' ' << v;
-  out << '\n';
-}
-
-[[noreturn]] void fail(int line_number, const std::string& what) {
-  throw std::runtime_error("calibration file line " +
-                           std::to_string(line_number) + ": " + what);
-}
-
-std::vector<double> expect_line(std::istream& in, const std::string& key,
-                                std::size_t count, int& line_number) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    fail(line_number + 1, "file truncated, expected '" + key + "' record");
-  }
-  ++line_number;
-  std::istringstream ss(line);
-  std::string found_key;
-  ss >> found_key;
-  if (found_key != key) {
-    fail(line_number,
-         "expected '" + key + "' record, found '" + found_key + "'");
-  }
-  std::vector<double> values;
-  double v = 0.0;
-  while (ss >> v) {
-    if (!std::isfinite(v)) {
-      fail(line_number, "field " + std::to_string(values.size() + 1) +
-                            " of " + key + " is not finite");
-    }
-    values.push_back(v);
-  }
-  if (!ss.eof()) {
-    // The stream stopped on a token that is not a double (e.g. "NaN" spelled
-    // oddly, or stray text) before the line ran out.
-    fail(line_number, "field " + std::to_string(values.size() + 1) + " of " +
-                          key + " is not a number");
-  }
-  if (values.size() != count) {
-    fail(line_number, "expected " + std::to_string(count) + " values for " +
-                          key + ", got " + std::to_string(values.size()));
-  }
-  return values;
-}
-
-std::vector<std::uint64_t> expect_u64_line(std::istream& in,
-                                           const std::string& key,
-                                           std::size_t count,
-                                           int& line_number) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    fail(line_number + 1, "file truncated, expected '" + key + "' record");
-  }
-  ++line_number;
-  std::istringstream ss(line);
-  std::string found_key;
-  ss >> found_key;
-  if (found_key != key) {
-    fail(line_number,
-         "expected '" + key + "' record, found '" + found_key + "'");
-  }
-  // Tokens go through from_chars, not the istream extractor: RNG words
-  // above 2^53 would silently lose bits through a double, and istream's
-  // unsigned extraction accepts '-' and wraps.
-  std::vector<std::uint64_t> values;
-  std::string token;
-  while (ss >> token) {
-    const int field = static_cast<int>(values.size()) + 1;
-    std::uint64_t v = 0;
-    const auto* first = token.data();
-    const auto* last = token.data() + token.size();
-    const auto [ptr, ec] = std::from_chars(first, last, v);
-    if (ec != std::errc{} || ptr != last) {
-      fail(line_number, "field " + std::to_string(field) + " of " + key +
-                            " is not an unsigned 64-bit integer");
-    }
-    values.push_back(v);
-  }
-  if (values.size() != count) {
-    fail(line_number, "expected " + std::to_string(count) + " values for " +
-                          key + ", got " + std::to_string(values.size()));
-  }
-  return values;
-}
-
-}  // namespace persist
-
-using persist::expect_line;
-using persist::fail;
-using persist::write_values;
 
 void save_calibration(const std::filesystem::path& path,
                       const CalibrationResult& calibration) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot write " + path.string());
+  const CalibrationRecords records{
+      calibration.tx_stage1.model.params().pack(),
+      calibration.rx_stage1.model.params().pack(),
+      calibration.mapping.map_tx.params(),
+      calibration.mapping.map_rx.params(),
+      {calibration.tx_stage1.avg_error_m, calibration.tx_stage1.max_error_m,
+       calibration.rx_stage1.avg_error_m, calibration.rx_stage1.max_error_m,
+       calibration.mapping.avg_coincidence_m,
+       calibration.mapping.max_coincidence_m}};
   out << kMagicV2 << '\n';
-  write_values(out, "tx_model", calibration.tx_stage1.model.params().pack());
-  write_values(out, "rx_model", calibration.rx_stage1.model.params().pack());
-  write_values(out, "map_tx", calibration.mapping.map_tx.params());
-  write_values(out, "map_rx", calibration.mapping.map_rx.params());
-  const double stats[6] = {
-      calibration.tx_stage1.avg_error_m, calibration.tx_stage1.max_error_m,
-      calibration.rx_stage1.avg_error_m, calibration.rx_stage1.max_error_m,
-      calibration.mapping.avg_coincidence_m,
-      calibration.mapping.max_coincidence_m};
-  write_values(out, "stats", stats);
+  persist::RecordWriter writer(out);
+  calibration_records(writer, records);
   if (!out) throw std::runtime_error("write failed: " + path.string());
 }
 
@@ -144,42 +57,24 @@ CalibrationResult load_calibration(const std::filesystem::path& path) {
   if (!in) throw std::runtime_error("cannot read " + path.string());
   std::string magic;
   std::getline(in, magic);
-  int line_number = 1;
   // v2 is a header bump (same records); v1 files keep loading.
   if (magic != kMagicV1 && magic != kMagicV2) {
-    fail(line_number, "not a cyclops calibration header: '" + magic +
-                          "' (expected '" + kMagicV1 + "' or '" + kMagicV2 +
-                          "')");
+    persist::fail(1, "not a cyclops calibration header: '" + magic +
+                         "' (expected '" + kMagicV1 + "' or '" + kMagicV2 +
+                         "')");
   }
-
-  const auto to_model = [](const std::vector<double>& values) {
-    std::array<double, galvo::GalvoParams::kParamCount> packed{};
-    std::copy(values.begin(), values.end(), packed.begin());
+  CalibrationRecords r;
+  persist::RecordReader reader(in);
+  calibration_records(reader, r);
+  const auto model = [](const auto& packed) {
     return GmaModel(galvo::GalvoParams::unpack(packed));
   };
-  const auto to_pose = [](const std::vector<double>& values) {
-    std::array<double, 6> params{};
-    std::copy(values.begin(), values.end(), params.begin());
-    return geom::Pose::from_params(params);
-  };
-
-  const auto tx_values = expect_line(in, "tx_model",
-                                     galvo::GalvoParams::kParamCount,
-                                     line_number);
-  const auto rx_values = expect_line(in, "rx_model",
-                                     galvo::GalvoParams::kParamCount,
-                                     line_number);
-  const auto map_tx = expect_line(in, "map_tx", 6, line_number);
-  const auto map_rx = expect_line(in, "map_rx", 6, line_number);
-  const auto stats = expect_line(in, "stats", 6, line_number);
-
-  CalibrationResult result{
-      KSpaceFitReport{to_model(tx_values), stats[0], stats[1], 0, true},
-      KSpaceFitReport{to_model(rx_values), stats[2], stats[3], 0, true},
-      MappingFitReport{to_pose(map_tx), to_pose(map_rx), stats[4], stats[5],
-                       0, true},
-      {}};
-  return result;
+  return {KSpaceFitReport{model(r.tx_model), r.stats[0], r.stats[1], 0, true},
+          KSpaceFitReport{model(r.rx_model), r.stats[2], r.stats[3], 0, true},
+          MappingFitReport{geom::Pose::from_params(r.map_tx),
+                           geom::Pose::from_params(r.map_rx), r.stats[4],
+                           r.stats[5], 0, true},
+          {}};
 }
 
 }  // namespace cyclops::core

@@ -15,49 +15,15 @@
 // v2 is a header bump over v1 (identical records); the loader accepts
 // both.  Malformed files — truncation, wrong value counts, non-finite or
 // non-numeric fields — are rejected with a std::runtime_error naming the
-// 1-based line and field.
+// 1-based line and field.  The records are read and written by the codec
+// the engine checkpoint also uses (core/record_codec.hpp).
 #pragma once
 
-#include <cstdint>
 #include <filesystem>
-#include <iosfwd>
-#include <span>
-#include <string>
-#include <vector>
 
 #include "core/calibration.hpp"
 
 namespace cyclops::core {
-
-/// Line-oriented record helpers shared by the calibration file format and
-/// the engine-checkpoint format (cal/checkpoint.hpp): `<key> <values...>`
-/// lines with exact round-tripping (doubles at 17 significant digits,
-/// unsigned integers verbatim) and every rejection naming the 1-based
-/// line and field.
-namespace persist {
-
-void write_values(std::ostream& out, const char* key,
-                  std::span<const double> values);
-void write_u64_values(std::ostream& out, const char* key,
-                      std::span<const std::uint64_t> values);
-
-/// Throws std::runtime_error naming the line.
-[[noreturn]] void fail(int line_number, const std::string& what);
-
-/// Parses one `<key> <count doubles>` line; `line_number` counts lines
-/// consumed so far (the header is line 1) and is advanced.
-std::vector<double> expect_line(std::istream& in, const std::string& key,
-                                std::size_t count, int& line_number);
-
-/// Parses one `<key> <count u64s>` line.  Values must be non-negative
-/// decimal integers that fit in 64 bits (doubles would corrupt RNG words
-/// above 2^53).
-std::vector<std::uint64_t> expect_u64_line(std::istream& in,
-                                           const std::string& key,
-                                           std::size_t count,
-                                           int& line_number);
-
-}  // namespace persist
 
 /// Writes the learned models and mappings.  Throws std::runtime_error on
 /// I/O failure.

@@ -73,6 +73,7 @@ RunResult run_link_session_events(sim::Prototype& proto,
   if (stats) {
     stats->events = sched.dispatched();
     stats->scheduled = sched.scheduled();
+    stats->slots = static_cast<std::uint64_t>(s.tally.total_slots);
   }
   if (registry != nullptr) {
     registry->counter("session_slots_total")

@@ -31,6 +31,7 @@ namespace cyclops::link {
 struct EventSessionStats {
   std::uint64_t events = 0;     ///< Dispatched by the scheduler.
   std::uint64_t scheduled = 0;
+  std::uint64_t slots = 0;      ///< Sampling slots evaluated.
 };
 
 /// Event-driven counterpart of run_link_simulation, run on `ctx`: its

@@ -163,9 +163,9 @@ HeteroResult run_hetero_session(sim::Prototype& proto,
   result.switches = handover.switches();
   result.cancelled_switches = handover.cancelled_switches();
   result.events = sched.dispatched();
+  result.slots = static_cast<std::uint64_t>(slot.slots());
   if (registry != nullptr) {
-    registry->counter("hetero_slots_total")
-        .inc(static_cast<std::uint64_t>(slot.slots()));
+    registry->counter("hetero_slots_total").inc(result.slots);
     registry->counter("hetero_served_total")
         .inc(static_cast<std::uint64_t>(slot.served()));
     registry->counter("hetero_events_dispatched_total")

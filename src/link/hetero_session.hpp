@@ -69,6 +69,7 @@ struct HeteroResult {
   int cancelled_switches = 0;
   int realignments = 0;  ///< TP realignments on the FSO chain.
   std::uint64_t events = 0;
+  std::uint64_t slots = 0;  ///< Sampling slots evaluated.
   std::vector<HeteroChannelStats> channels;  ///< [0] = FSO, [1] = fallback.
 };
 

@@ -237,6 +237,7 @@ MultiTxResult run_multi_tx_session(
   result.switches = handover.switches();
   result.cancelled_switches = handover.cancelled_switches();
   result.events = sched.dispatched();
+  result.slots = static_cast<std::uint64_t>(s.slots);
   result.per_tx_usable_fraction.reserve(chains.size());
   for (std::size_t i = 0; i < chains.size(); ++i) {
     const double fraction =
@@ -246,8 +247,7 @@ MultiTxResult run_multi_tx_session(
         std::max(result.best_single_tx_fraction, fraction);
   }
   if (registry != nullptr) {
-    registry->counter("multi_tx_slots_total")
-        .inc(static_cast<std::uint64_t>(s.slots));
+    registry->counter("multi_tx_slots_total").inc(result.slots);
     registry->counter("multi_tx_served_total")
         .inc(static_cast<std::uint64_t>(s.served));
     registry->counter("multi_tx_events_dispatched_total")

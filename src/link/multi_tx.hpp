@@ -64,6 +64,7 @@ struct MultiTxResult {
   /// the switch delay elapsed (HandoverConfig::cancel_on_reacquire).
   int cancelled_switches = 0;
   std::uint64_t events = 0;  ///< Events dispatched by the session engine.
+  std::uint64_t slots = 0;   ///< Sampling slots evaluated.
   std::vector<double> per_tx_usable_fraction;
 };
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -23,10 +22,10 @@
 #include "link/session_core.hpp"
 #include "motion/trace.hpp"
 #include "motion/trace_generator.hpp"
-#include "obs/config.hpp"
 #include "phy/mmwave_channel.hpp"
 #include "sim/prototype.hpp"
 #include "stream/pipeline.hpp"
+#include "util/require.hpp"
 #include "util/sim_clock.hpp"
 
 namespace cyclops::session {
@@ -61,17 +60,6 @@ motion::TraceGeneratorConfig trace_config(const SessionSpec& spec) {
   return config;
 }
 
-std::uint64_t counter_value(const runtime::Context& ctx, std::string name,
-                            obs::Labels labels = {}) {
-  if constexpr (obs::kEnabled) {
-    return ctx.registry()
-        .counter(std::move(name), std::move(labels))
-        .value();
-  } else {
-    return 0;
-  }
-}
-
 /// kLink — the exact-timing single-TX FSO loop over a synthetic viewing
 /// trace (truth solver, per-session seed'd prototype).
 class LinkRunner final : public SessionRunner {
@@ -97,7 +85,7 @@ class LinkRunner final : public SessionRunner {
         *proto_, *controller_, *profile_, ctx, options, nullptr, &stats);
     Report report;
     report.events = stats.events;
-    report.slots = counter_value(ctx, "session_slots_total");
+    report.slots = stats.slots;
     report.served_fraction = r.total_up_fraction;
     report.avg_rate_gbps = r.avg_rate_gbps;
     report.switches = static_cast<std::uint64_t>(r.realignments);
@@ -183,7 +171,7 @@ class HeteroRunner final : public SessionRunner {
         *proto_, *controller_, *fallback_, *profile_, ctx, config);
     Report report;
     report.events = r.events;
-    report.slots = counter_value(ctx, "hetero_slots_total");
+    report.slots = r.slots;
     report.served_fraction = r.served_fraction;
     report.avg_rate_gbps = r.avg_rate_gbps;
     report.switches = static_cast<std::uint64_t>(r.switches);
@@ -244,7 +232,7 @@ class MultiTxRunner final : public SessionRunner {
         chains_, *profile_, config, occlusion, ctx);
     Report report;
     report.events = r.events;
-    report.slots = counter_value(ctx, "multi_tx_slots_total");
+    report.slots = r.slots;
     report.served_fraction = r.served_fraction;
     report.avg_rate_gbps = 0.0;  // the multi-TX session reports fractions
     report.switches = static_cast<std::uint64_t>(r.switches);
@@ -285,7 +273,7 @@ class ArenaRunner final : public SessionRunner {
         arena::run_arena_session(*topology_, options, ctx);
     Report report;
     report.events = r.events;
-    report.slots = counter_value(ctx, "arena_slots_total");
+    report.slots = r.slots;
     report.served_fraction =
         r.headsets.empty()
             ? 0.0
@@ -405,16 +393,11 @@ class OnlineRecalRunner final : public SessionRunner {
 }  // namespace
 
 std::unique_ptr<SessionRunner> make_runner(const SessionSpec& spec) {
-  if (spec.step_us <= 0) {
-    throw std::invalid_argument("SessionSpec.step_us must be > 0, got " +
-                                std::to_string(spec.step_us));
-  }
-  if (!std::isfinite(spec.duration_s) || spec.duration_s < 0.0) {
-    std::ostringstream message;
-    message << "SessionSpec.duration_s must be finite and >= 0, got "
-            << spec.duration_s;
-    throw std::invalid_argument(message.str());
-  }
+  util::require(spec.step_us > 0, "SessionSpec", "step_us", "> 0",
+                spec.step_us);
+  util::require(std::isfinite(spec.duration_s) && spec.duration_s >= 0.0,
+                "SessionSpec", "duration_s", "finite and >= 0",
+                spec.duration_s);
   switch (spec.variant) {
     case Variant::kLink: return std::make_unique<LinkRunner>(spec);
     case Variant::kChannel: return std::make_unique<ChannelRunner>(spec);

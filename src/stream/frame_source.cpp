@@ -2,18 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-#include <stdexcept>
+
+#include "util/require.hpp"
 
 namespace cyclops::stream {
 
 util::SimTimeUs frame_period(double fps, const char* config) {
-  if (!std::isfinite(fps) || fps <= 0.0 || fps > 2e6) {
-    std::ostringstream message;
-    message << config << ".fps must be finite and in (0, 2e6] (a frame "
-            << "period of >= 1 us), got " << fps;
-    throw std::invalid_argument(message.str());
-  }
+  util::require(std::isfinite(fps) && fps > 0.0 && fps <= 2e6, config, "fps",
+                "finite and in (0, 2e6] (a frame period of >= 1 us)", fps);
   return static_cast<util::SimTimeUs>(std::llround(1e6 / fps));
 }
 

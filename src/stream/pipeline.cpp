@@ -1,12 +1,11 @@
 #include "stream/pipeline.hpp"
 
 #include <algorithm>
-#include <sstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "stream/frame_source.hpp"
+#include "util/require.hpp"
 
 namespace cyclops::stream {
 
@@ -16,14 +15,10 @@ namespace {
 /// at the same microsecond forever; duration <= 0 divides by zero in the
 /// report.  (frame_period() rejects an fps with no usable period.)
 PipelineConfig validated(PipelineConfig config) {
-  const auto reject = [](const char* field, const char* rule, auto value) {
-    std::ostringstream message;
-    message << "PipelineConfig." << field << " must be " << rule << ", got "
-            << value;
-    throw std::invalid_argument(message.str());
-  };
-  if (config.slot <= 0) reject("slot", "> 0 us", config.slot);
-  if (config.duration <= 0) reject("duration", "> 0 us", config.duration);
+  util::require(config.slot > 0, "PipelineConfig", "slot", "> 0 us",
+                config.slot);
+  util::require(config.duration > 0, "PipelineConfig", "duration", "> 0 us",
+                config.duration);
   return config;
 }
 

@@ -1,12 +1,16 @@
 // End-to-end arena session tests: TX failure migration, the
 // no-silent-drop accountability invariant, duty violations under fuzzed
 // configurations, determinism across driver-pool thread counts, and the
-// obs counter contract.
+// obs counter contract; then the ArenaOptions validation boundary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "arena/session.hpp"
@@ -257,6 +261,73 @@ TEST(ArenaSessionTest, SlaMetCountMatchesHeadsets) {
   int n = 0;
   for (const HeadsetQoE& q : result.headsets) n += q.sla_met ? 1 : 0;
   EXPECT_EQ(result.sla_met_count(), n);
+}
+
+// ---- ArenaOptions validation ----
+
+/// run_arena_session's rejection message for `options`, or "" when it
+/// accepts them.
+std::string rejection(const ArenaOptions& options) {
+  const ArenaTopology topo = small_arena(2, 2, Scenario::kUniform, 0.05, 3);
+  const runtime::Context ctx = runtime::Context::isolated({.seed = 3});
+  try {
+    run_arena_session(topo, options, ctx);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+ArenaOptions short_options() {
+  ArenaOptions options;
+  options.duration_s = 0.05;
+  return options;
+}
+
+TEST(ArenaOptionsTest, RejectsNonPositiveSlot) {
+  for (const util::SimTimeUs slot : {util::SimTimeUs{0}, util::SimTimeUs{-2000}}) {
+    ArenaOptions options = short_options();
+    options.slot = slot;
+    EXPECT_NE(rejection(options).find("ArenaOptions.slot"), std::string::npos)
+        << slot;
+  }
+}
+
+TEST(ArenaOptionsTest, RejectsNonPositiveFrameSlots) {
+  for (const int frame_slots : {0, -10}) {
+    ArenaOptions options = short_options();
+    options.scheduler.frame_slots = frame_slots;
+    EXPECT_NE(rejection(options).find("ArenaOptions.scheduler.frame_slots"),
+              std::string::npos)
+        << frame_slots;
+  }
+}
+
+TEST(ArenaOptionsTest, RejectsNonFiniteOrNegativeDuration) {
+  for (const double duration :
+       {-0.5, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(), 1e300}) {
+    ArenaOptions options = short_options();
+    options.duration_s = duration;
+    EXPECT_NE(rejection(options).find("ArenaOptions.duration_s"),
+              std::string::npos)
+        << duration;
+  }
+}
+
+TEST(ArenaOptionsTest, AcceptsBoundaryValues) {
+  ArenaOptions zero_length = short_options();
+  zero_length.duration_s = 0.0;
+  EXPECT_EQ(rejection(zero_length), "");
+
+  ArenaOptions one_us_slot = short_options();
+  one_us_slot.duration_s = 0.002;  // 2000 one-microsecond ticks
+  one_us_slot.slot = 1;
+  EXPECT_EQ(rejection(one_us_slot), "");
+
+  ArenaOptions one_slot_frames = short_options();
+  one_slot_frames.scheduler.frame_slots = 1;
+  EXPECT_EQ(rejection(one_slot_frames), "");
 }
 
 }  // namespace

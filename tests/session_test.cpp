@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "arena/session.hpp"
+#include "arena/topology.hpp"
 #include "event/scheduler.hpp"
 #include "obs/config.hpp"
 #include "obs/export.hpp"
@@ -21,6 +23,7 @@
 #include "session/catalog.hpp"
 #include "session/fleet.hpp"
 #include "session/lifecycle.hpp"
+#include "util/sim_clock.hpp"
 
 namespace cyclops {
 namespace {
@@ -189,6 +192,53 @@ TEST(RunSessionTest, EveryCatalogVariantRuns) {
         << session::variant_name(spec.variant) << " dispatched no events";
     EXPECT_EQ(report.variant, spec.variant);
   }
+}
+
+// Report.slots is the count the session itself keeps, in every build —
+// not a read-back of the session's obs counters, which CYCLOPS_OBS=OFF
+// compiles out.
+TEST(RunSessionTest, SlotsAreTheSessionsOwnCountInEveryBuild) {
+  // The sampling variants evaluate one slot per step over [0, duration).
+  for (const session::Variant variant :
+       {session::Variant::kLink, session::Variant::kHetero,
+        session::Variant::kMultiTx}) {
+    session::SessionSpec spec;
+    spec.variant = variant;
+    spec.seed = 5;
+    spec.duration_s = 0.25;
+    spec.step_us = 1000;
+    const session::Report report =
+        session::run_session(spec, session::catalog_factory());
+    EXPECT_EQ(report.slots, 250u) << session::variant_name(variant);
+  }
+
+  // The arena counts serve slots summed over TXs; its per-TX duty
+  // (serve slots / ticks) is the arena's own account of them.
+  session::SessionSpec spec;
+  spec.variant = session::Variant::kArena;
+  spec.seed = 5;
+  spec.duration_s = 2.0;
+  const session::Report report =
+      session::run_session(spec, session::catalog_factory());
+  const arena::ArenaConfig config;
+  const arena::ArenaTopology topology(
+      config, spec.num_tx,
+      arena::ArenaTopology::make_tracks(config, spec.num_players,
+                                        arena::Scenario::kUniform,
+                                        spec.duration_s, spec.seed));
+  arena::ArenaOptions options;
+  options.duration_s = spec.duration_s;
+  const runtime::Context ctx = runtime::Context::isolated({.seed = spec.seed});
+  const arena::ArenaResult direct =
+      arena::run_arena_session(topology, options, ctx);
+  const double ticks =
+      static_cast<double>(util::us_from_s(spec.duration_s) / options.slot);
+  std::uint64_t serve_slots = 0;
+  for (const double duty : direct.per_tx_duty) {
+    serve_slots += static_cast<std::uint64_t>(std::llround(duty * ticks));
+  }
+  EXPECT_GT(serve_slots, 0u);
+  EXPECT_EQ(report.slots, serve_slots);
 }
 
 // ---- SessionSpec validation at the make_runner boundary ----
